@@ -95,7 +95,7 @@ from repro.topology import (
 
 # The run API and the sharded runtime sit atop the layers above; imported
 # last so the package initializes bottom-up without cycles.
-from repro.api import RunResult, run, run_scenario
+from repro.api import RunResult, run
 from repro.faults import FaultPlan
 from repro.shard import ShardedRunner
 
@@ -157,7 +157,6 @@ __all__ = [
     "from_spec",
     "RunResult",
     "run",
-    "run_scenario",
     "ShardedRunner",
     "FaultPlan",
     "__version__",

@@ -35,16 +35,12 @@ class RunResult:
     self-healing and is kept apart from ``counters`` on purpose: a sharded
     run that survived a worker crash produces counters bit-identical to an
     undisturbed run, with only ``supervision`` recording that anything
-    happened.  Its keys: ``checkpoints`` (fork snapshots announced, present
-    whenever checkpointing is enabled and the run was long enough to take
-    one), and — only after at least one worker death — ``restarts``,
-    ``recovered_from_checkpoint`` (how many of those restarts woke a
-    dormant snapshot clone instead of re-executing from t=0),
-    ``incidents`` (human-readable, one per death), and ``recoveries``
-    (one ``{"shard", "via": "checkpoint"|"replay", "recovery_s"}`` entry
-    per death, where ``recovery_s`` is wall time until the replacement
-    caught back up to the victim's last proven round).  A run that
-    exhausted its restart budget instead reports ``degraded``/``reason``.
+    happened.  It stays empty unless a worker died; then it holds
+    ``restarts``, ``incidents`` (human-readable, one per death) and
+    ``recoveries`` (one ``{"shard", "recovery_s"}`` entry per death: wall
+    time until the replacement caught back up to the victim's last proven
+    round).  A run that exhausted its restart budget instead reports
+    ``degraded``/``reason``.
     """
 
     scenario: str
@@ -112,14 +108,3 @@ def run(
         counters=counters,
         timings=timings,
     )
-
-
-def run_scenario(
-    scenario_or_spec: Scenario | dict | str | Path,
-    *,
-    seed: int | None = None,
-    duration_s: float | None = None,
-    shards: int | None = None,
-) -> RunResult:
-    """Alias of :func:`run` (the name the facade has always promised)."""
-    return run(scenario_or_spec, seed=seed, duration_s=duration_s, shards=shards)

@@ -15,19 +15,13 @@ time and restart accounting:
   reboot whose delivery rate is back within 90% of the reference slice —
   measured from the reboot instant.
 * ``recovery_s`` (worker-crash cases): the supervisor's own measurement —
-  wall time from the worker's death until its replacement catches back up
-  to the victim's last proven protocol round.  The late-crash pair
-  (``shard-crash-replay`` vs ``shard-crash-ckpt``) runs the same SIGKILL at
-  80% of the run healed two ways: full re-execution from t=0 versus waking
-  the newest fork-based checkpoint clone with the message-log suffix.  The
-  checkpointed ``recovery_s`` must sit strictly below full replay for a
-  late crash — that gap is the whole point of checkpointing, and CI gates
-  it.
-* ``restarts``/``bitequal``/``checkpoints``/``recovered_from_checkpoint``
-  (worker-crash cases): supervisor accounting, and whether the healed run's
-  behavior counters came out bit-identical to the undisturbed sharded run
-  (the recovery contract holds on both paths; ``bitequal`` should always
-  read 1).
+  wall time from the worker's death until its replacement, re-executing
+  from t=0 against the message log, catches back up to the victim's last
+  proven protocol round.  ``shard-crash-replay`` places the SIGKILL at 80%
+  of the run, where re-execution has the most work to redo.
+* ``restarts``/``bitequal`` (worker-crash cases): supervisor accounting, and
+  whether the healed run's behavior counters came out bit-identical to the
+  undisturbed sharded run (``bitequal`` should always read 1).
 
 Rows are keyed by ``case`` and carry ``events_per_s`` so the committed
 ``results/BENCH_faults.json`` works with ``bench compare``'s regression gate
@@ -43,12 +37,7 @@ import time
 from repro.bench.reporting import Table, peak_rss_kb
 from repro.faults.plan import FaultPlan
 from repro.scenarios.spec import Scenario
-from repro.shard.runner import (
-    DEFAULT_CHECKPOINT_EVERY,
-    TIMING_KEYS,
-    ShardedRunner,
-    cpu_count,
-)
+from repro.shard.runner import TIMING_KEYS, ShardedRunner, cpu_count
 
 DEFAULT_FAULT_SIM_S = 10.0
 #: Slice width for the recovery probe, and the delivery-rate band that
@@ -193,28 +182,22 @@ def _run_selfheal(
     spec: dict,
     shards: int,
     *,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     kill_frac: float = 0.4,
     case: str | None = None,
 ) -> dict:
     """SIGKILL one sharded worker mid-run; report recovery cost and whether
     the healed counters are bit-identical to the undisturbed sharded run.
 
-    ``checkpoint_every=0`` forces the full-replay recovery path;
-    ``kill_frac`` places the kill (late kills are where the two paths
-    diverge most).  ``recovery_s`` is the supervisor's own measurement:
-    death to the replacement's catch-up round."""
+    ``kill_frac`` places the kill (a late kill leaves the replacement the
+    most to re-execute).  ``recovery_s`` is the supervisor's own
+    measurement: death to the replacement's catch-up round."""
     kill_at = round(spec["duration_s"] * kill_frac, 1)
     victim = shards - 1
     chaos = {"events": [{"kind": "worker_kill", "at_s": kill_at, "shard": victim}]}
-    undisturbed = ShardedRunner(
-        Scenario.from_spec(dict(spec, shards=shards)),
-        checkpoint_every=checkpoint_every,
-    ).run()
+    undisturbed = ShardedRunner(Scenario.from_spec(dict(spec, shards=shards))).run()
     started = time.perf_counter()
     healed = ShardedRunner(
-        Scenario.from_spec(dict(spec, shards=shards, faults=chaos)),
-        checkpoint_every=checkpoint_every,
+        Scenario.from_spec(dict(spec, shards=shards, faults=chaos))
     ).run()
     wall_s = time.perf_counter() - started
     strip = lambda result: {  # noqa: E731 - tiny local projection
@@ -231,16 +214,9 @@ def _run_selfheal(
         "frames": healed.counters["frames"],
         "frames_received": healed.counters.get("frames_received", 0),
         "restarts": healed.supervision.get("restarts", 0),
-        "checkpoints": healed.supervision.get("checkpoints", 0),
-        "recovered_from_checkpoint": healed.supervision.get(
-            "recovered_from_checkpoint", 0
-        ),
         "recovery_s": recoveries[0]["recovery_s"] if recoveries else 0.0,
         "bitequal": int(strip(healed) == strip(undisturbed)),
         "peak_rss_kb": peak_rss_kb(),
-        # Dormant-clone resident set: what the fork snapshots actually cost
-        # once copy-on-write pages diverge (0 when checkpointing is off).
-        "clone_rss_kb": healed.supervision.get("clone_rss_kb", 0),
     }
     for key in _FAULT_COUNTER_KEYS:
         row[key] = healed.counters.get(key, 0)
@@ -269,9 +245,7 @@ def run_fault_bench(
             "lost",
             "recovery s",
             "restarts",
-            "ckpts",
             "rss kB",
-            "clone kB",
         ],
     )
     rows: list[dict] = []
@@ -300,20 +274,10 @@ def run_fault_bench(
     )
     rows.append(_run_case("correlated-outage", spec, generated.to_spec()))
     rows.append(_run_selfheal(spec, shards))
-    # The same SIGKILL placed late in the run, healed both ways: this pair
-    # is the checkpointing headline (and CI gates ckpt < replay).
+    # The same SIGKILL placed late in the run: the most re-execution work.
     rows.append(
         _run_selfheal(
-            spec,
-            shards,
-            checkpoint_every=0,
-            kill_frac=0.8,
-            case=f"shard-crash-replay-w{shards}",
-        )
-    )
-    rows.append(
-        _run_selfheal(
-            spec, shards, kill_frac=0.8, case=f"shard-crash-ckpt-w{shards}"
+            spec, shards, kill_frac=0.8, case=f"shard-crash-replay-w{shards}"
         )
     )
     reference_received = baseline["frames_received"] or 1
@@ -330,9 +294,7 @@ def run_fault_bench(
             row.get("fault_agents_lost", 0),
             row.get("recovery_s", "-"),
             row.get("restarts", "-"),
-            row.get("checkpoints", "-"),
             row.get("peak_rss_kb", 0),
-            row.get("clone_rss_kb", "-") or "-",
         )
     table.add_note(
         f"seed {seed}, {duration_s:.0f} simulated seconds per case on "
@@ -340,12 +302,10 @@ def run_fault_bench(
         "fault-free baseline; mote-crash recovery is measured from the "
         "reboot instant to the first 1 s slice back within "
         f"{RECOVERY_BAND:.0%} of the baseline delivery rate; worker-crash "
-        "recovery is the supervisor's death-to-catch-up wall time (the "
-        "shard-crash-replay/-ckpt pair heals the same late kill by full "
-        "re-execution vs by waking the newest fork snapshot); bitequal=1 "
-        "means the healed run reproduced the undisturbed counters exactly; "
-        "clone kB is the largest dormant-snapshot resident set the "
-        "supervisor sampled (the true copy-on-write cost of checkpointing)"
+        "recovery is the supervisor's death-to-catch-up wall time, the "
+        "replacement re-executing from t=0 against the message log "
+        "(shard-crash-replay kills at 80% of the run); bitequal=1 means the "
+        "healed run reproduced the undisturbed counters exactly"
     )
     for row in rows:
         if "bitequal" in row and not row["bitequal"]:  # pragma: no cover

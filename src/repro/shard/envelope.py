@@ -11,11 +11,6 @@ envelopes plus the shard's lookahead *grant*: a promise that no boundary
 transmission of this shard starts before the granted tick.  A shard that has
 reached the end of simulated time sends a final round with ``done=True`` and
 an infinite grant, releasing its neighbors for good.
-
-A :class:`Checkpoint` announces a fork-based snapshot to the supervisor: a
-dormant clone of the worker stands ready at the recorded protocol position,
-and the per-neighbor message-log offsets pin exactly which suffix of the
-parent's log the clone needs if it is ever woken to replace a dead worker.
 """
 
 from __future__ import annotations
@@ -65,27 +60,3 @@ class Round:
     done: bool
     envelopes: tuple[TxEnvelope, ...] = ()
 
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """One fork-based snapshot announcement (worker → supervisor).
-
-    ``rounds`` is the protocol round the snapshot was taken at;
-    ``recv_total[j]`` / ``sent_total[j]`` are the worker's *logical* message
-    counts per seam neighbor at that instant — how many rounds from ``j``
-    it has ever enqueued, and how many rounds to ``j`` it has ever issued
-    (suppressed replays included), both counted from t=0 across
-    incarnations.  Because the hub pipe is FIFO, the supervisor's message
-    log agrees with these counts by the time it processes the announcement,
-    so ``log[count:]`` is exactly the suffix a woken clone is missing.
-    The clone's wake pipe rides alongside this message (a pickled
-    ``multiprocessing`` connection), not inside it, keeping the dataclass
-    plain data.
-    """
-
-    shard: int
-    incarnation: int
-    rounds: int
-    pid: int
-    recv_total: dict
-    sent_total: dict

@@ -22,23 +22,17 @@ replacement fast-forwards to the crash point producing the exact same bytes
 the first incarnation produced.  Liveness is watched via per-round
 heartbeats: a worker that stops heartbeating past the hang deadline turns
 into a bounded-time :class:`~repro.errors.NetworkError` (never a parent
-deadlock), and a worker that keeps dying past ``max_restarts`` degrades the
-run to the inline driver — slower, but it completes.
+deadlock), though a replacement's replay heartbeats also keep alive the
+neighbors blocked waiting on it; a worker that keeps dying past
+``max_restarts`` degrades the run to the inline driver — slower, but it
+completes.  Healed behavior counters are bit-identical to an undisturbed
+run, with only ``RunResult.supervision`` (``restarts``, ``incidents``,
+``recoveries``) recording that anything happened.
 
-Re-execution from t=0 makes restart cost O(run length).  **Checkpoints**
-bound it to O(checkpoint interval): every ``checkpoint_every`` protocol
-rounds each worker forks a dormant copy-on-write clone of its entire
-simulator stack, parks it on a fresh pipe, and announces ``(incarnation,
-round, per-neighbor message-log offsets)`` to the supervisor, which retires
-the previous snapshot.  When the worker later dies, the supervisor *wakes*
-the newest clone and hands it only the log suffix accumulated since the
-snapshot — replay/suppress computed from the recorded offsets — and the
-clone resumes the protocol mid-stream.  Full re-execution remains the
-fallback when no clone survives, and both paths uphold the same contract:
-healed behavior counters are bit-identical to an undisturbed run, with only
-``RunResult.supervision`` (``checkpoints``, ``restarts``,
-``recovered_from_checkpoint``, ``recoveries``, ``incidents``) recording
-that anything happened.
+Re-execution from t=0 makes restart cost O(run length), and it is the only
+recovery path.  Periodic fork snapshots woken with the log suffix would bound
+it to O(snapshot interval), but measured end to end the forks cost more wall
+time than the replay they save, even for a crash late in a 60 s run.
 
 Validation happens up front: sharding supports the deployment shapes whose
 cross-region interaction is entirely radio frames.  Mobility would move
@@ -59,12 +53,10 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from multiprocessing import util as mp_util
 
 from repro.errors import NetworkError
 from repro.faults.plan import FaultPlan
 from repro.scenarios.spec import Scenario
-from repro.shard.envelope import Checkpoint
 from repro.shard.partition import Partition, partition_topology
 from repro.shard.worker import Link, ShardWorker, neighbor_pairs
 from repro.topology import from_spec as topology_from_spec
@@ -77,8 +69,8 @@ TIMING_KEYS = frozenset(
 #: Per-shard keys that are protocol bookkeeping, not summable behavior.
 _NON_AGGREGATED = frozenset({"shard", "build_s", "wall_s"})
 
-#: Default snapshot cadence (protocol rounds). 0 disables checkpointing.
-DEFAULT_CHECKPOINT_EVERY = 64
+#: The runner takes no checkpoints; only the benchmark manifest reads this.
+DEFAULT_CHECKPOINT_EVERY = 0
 
 
 class _DequeLink:
@@ -107,13 +99,6 @@ class _WorkerHub:
     with its queues pre-seeded from the parent's message log (``replay``) and
     its first ``suppress[j]`` sends to each neighbor swallowed — those bytes
     already reached *j* before the previous incarnation died.
-
-    ``recv_total``/``sent_total`` count *logical* per-neighbor messages from
-    t=0 across incarnations: every round ever enqueued from a neighbor
-    (replay-seeded or pipe-pulled) and every round ever issued to one
-    (suppressed replays included).  Checkpoints record these counts; they are
-    what lets the supervisor hand a woken clone exactly the log suffix the
-    snapshot is missing.
     """
 
     def __init__(self, conn, neighbors, replay=None, suppress=None):
@@ -122,14 +107,11 @@ class _WorkerHub:
             j: deque((replay or {}).get(j, ())) for j in neighbors
         }
         self.suppress = dict(suppress or {})
-        self.recv_total = {j: len(self.queues[j]) for j in neighbors}
-        self.sent_total = {j: 0 for j in neighbors}
 
     def link(self, peer: int) -> "_HubLink":
         return _HubLink(self, peer)
 
     def send_round(self, peer: int, message) -> None:
-        self.sent_total[peer] += 1
         remaining = self.suppress.get(peer, 0)
         if remaining:
             self.suppress[peer] = remaining - 1
@@ -141,7 +123,6 @@ class _WorkerHub:
         while not queue:
             kind, sender, payload = self.conn.recv()
             self.queues[sender].append(payload)
-            self.recv_total[sender] += 1
         return queue.popleft()
 
     def heartbeat(self, rounds: int) -> None:
@@ -162,102 +143,6 @@ class _HubLink:
 
     def recv(self):
         return self.hub.recv_round(self.peer)
-
-
-class _Checkpointer:
-    """Worker-side fork checkpoints: a dormant clone every ``every`` rounds.
-
-    The clone is a copy-on-write snapshot of the whole simulator stack at a
-    between-rounds instant.  It closes its inherited hub pipe (so the parent
-    still sees EOF the moment the live worker dies), cancels inherited
-    process-chaos events (they belong to the incarnation that just forked
-    it, not to a woken replacement), and blocks on its private wake pipe.
-    If it is never woken, the wake pipe's far end closing — the worker
-    retiring it for a newer snapshot, or the supervisor shutting down —
-    pops the blocking ``recv`` with EOF and the clone exits silently.  On
-    wake it splices the supervisor-provided log suffix into its hub,
-    adopts the wake pipe as its hub connection, and *returns*: the worker
-    protocol loop resumes exactly where the snapshot froze it.
-    """
-
-    def __init__(self, hub: _WorkerHub, worker: ShardWorker, every: int):
-        self.hub = hub
-        self.worker = worker
-        self.every = every
-        self._ctx = multiprocessing.get_context("fork")
-        self._prev_pid: int | None = None
-
-    # The worker's on_round callback: heartbeat always, snapshot on cadence.
-    def on_round(self, rounds: int) -> None:
-        self.hub.heartbeat(rounds)
-        if self.every and rounds % self.every == 0 and not self.worker.finished:
-            self._snapshot(rounds)
-
-    def _snapshot(self, rounds: int) -> None:
-        wake_parent, wake_child = self._ctx.Pipe(duplex=True)
-        # Retire the previous clone *before* announcing the new one, so the
-        # supervisor's newest-snapshot record never points at a pid this
-        # worker is about to kill.
-        self.retire()
-        pid = os.fork()
-        if pid == 0:
-            self._dormant(wake_parent, wake_child)
-            return  # woken: resume the protocol loop right here
-        wake_child.close()
-        self._prev_pid = pid
-        try:
-            self.hub.conn.send(
-                (
-                    "ckpt",
-                    Checkpoint(
-                        shard=self.worker.index,
-                        incarnation=self.worker.incarnation,
-                        rounds=rounds,
-                        pid=pid,
-                        recv_total=dict(self.hub.recv_total),
-                        sent_total=dict(self.hub.sent_total),
-                    ),
-                    # The clone's wake pipe crosses to the supervisor as a
-                    # pickled multiprocessing connection (fd passing via the
-                    # resource sharer; the sharer dups the fd at pickle
-                    # time, so closing our copy below is safe).
-                    wake_parent,
-                )
-            )
-        finally:
-            wake_parent.close()
-
-    def _dormant(self, wake_parent, wake_child) -> None:
-        wake_parent.close()
-        self.hub.conn.close()
-        self.worker.disarm_process_chaos()
-        self._prev_pid = None  # the retired sibling was never this clone's child
-        # Raw os.fork skips multiprocessing's after-fork hooks; run them so
-        # inherited helper state (the resource sharer above all) resets and
-        # this clone can take checkpoints of its own once woken.
-        mp_util._run_after_forkers()
-        try:
-            message = wake_child.recv()
-        except (EOFError, OSError):
-            os._exit(0)  # never woken: retired, or the run ended without us
-        _, incarnation, replay_suffix, suppress = message
-        self.hub.conn = wake_child
-        for peer, suffix in replay_suffix.items():
-            self.hub.queues[peer].extend(suffix)
-            self.hub.recv_total[peer] += len(suffix)
-        self.hub.suppress = dict(suppress)
-        self.worker.incarnation = incarnation
-
-    def retire(self) -> None:
-        """Kill and reap the previous clone (it is this process's child)."""
-        if self._prev_pid is None:
-            return
-        try:
-            os.kill(self._prev_pid, signal_module.SIGKILL)
-            os.waitpid(self._prev_pid, 0)
-        except (ProcessLookupError, ChildProcessError):  # pragma: no cover
-            pass
-        self._prev_pid = None
 
 
 def _neighbor_sets(partition: Partition) -> dict[int, tuple[int, ...]]:
@@ -301,10 +186,7 @@ def _check_shardable(scenario: Scenario) -> None:
         )
 
 
-def _process_main(
-    scenario, partition, index, conn, incarnation, replay, suppress, checkpoint_every
-):
-    hub = None
+def _process_main(scenario, partition, index, conn, incarnation, replay, suppress):
     try:
         neighbors = _neighbor_sets(partition)[index]
         hub = _WorkerHub(conn, neighbors, replay=replay, suppress=suppress)
@@ -316,76 +198,19 @@ def _process_main(
             incarnation=incarnation,
             process_chaos=True,
         )
-        checkpointer = _Checkpointer(hub, worker, checkpoint_every)
         hub.heartbeat(0)  # built: resets the parent's liveness deadline
-        worker.run(on_round=checkpointer.on_round)
-        checkpointer.retire()  # the final snapshot will never be needed
-        # NB: always through hub.conn, never the original ``conn`` — a woken
-        # checkpoint clone swapped its hub connection for the wake pipe.
-        hub.conn.send(("ok", worker.stats()))
+        worker.run(on_round=hub.heartbeat)
+        conn.send(("ok", worker.stats()))
     except BaseException:  # noqa: BLE001 - forwarded verbatim to the parent
         try:
-            (hub.conn if hub is not None else conn).send(
-                ("error", traceback.format_exc())
-            )
+            conn.send(("error", traceback.format_exc()))
         except OSError:  # pragma: no cover - parent already gone
             pass
     finally:
-        (hub.conn if hub is not None else conn).close()
-
-
-class _CloneProcess:
-    """Process-like handle for a woken checkpoint clone.
-
-    The clone was forked by the (now dead) worker, so it is a reparented
-    grandchild of the supervisor: signalable, but never waitable.
-    ``is_alive`` probes with signal 0 — and must also rule out a zombie,
-    because a finished clone stays signalable until init gets around to
-    reaping it, and only init can.  ``join`` polls until the process is
-    gone.  The real exit code of a non-child is unknowable, so
-    :func:`_describe_exit` special-cases this type.
-    """
-
-    def __init__(self, pid: int):
-        self.pid = pid
-        self.exitcode = None
-
-    def is_alive(self) -> bool:
-        try:
-            os.kill(self.pid, 0)
-        except ProcessLookupError:
-            self.exitcode = 0
-            return False
-        except PermissionError:  # pragma: no cover - pid recycled to another user
-            return True
-        try:
-            with open(f"/proc/{self.pid}/stat") as stat:
-                if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
-                    self.exitcode = 0
-                    return False
-        except (OSError, IndexError):  # pragma: no cover - no procfs
-            pass
-        return True
-
-    def terminate(self) -> None:
-        try:
-            os.kill(self.pid, signal_module.SIGTERM)
-        except ProcessLookupError:
-            pass
-
-    def join(self, timeout: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout
-        while self.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.01)
+        conn.close()
 
 
 def _describe_exit(process) -> str:
-    if isinstance(process, _CloneProcess):
-        return (
-            "checkpoint clone alive"
-            if process.is_alive()
-            else "checkpoint clone exited"
-        )
     code = process.exitcode
     if code is None:
         return "alive"
@@ -409,14 +234,6 @@ class _WorkerHandle:
     last_seen: float
 
 
-@dataclass
-class _CloneRecord:
-    """The newest announced snapshot of one shard: metadata + wake pipe."""
-
-    checkpoint: Checkpoint
-    conn: object
-
-
 class _DegradedRun(Exception):
     """Internal: a shard exhausted its restart budget; fall back inline."""
 
@@ -429,9 +246,8 @@ class _DegradedRun(Exception):
 class _Supervisor:
     """One supervised multiprocess run: the parent half of the hub.
 
-    Owns the message log, the worker handles, the per-shard checkpoint
-    records, and all recovery accounting.  Constructed fresh per run by
-    :meth:`ShardedRunner._run_processes`.
+    Owns the message log, the worker handles, and all recovery accounting.
+    Constructed fresh per run by :meth:`ShardedRunner._run_processes`.
     """
 
     def __init__(self, runner: "ShardedRunner", ctx):
@@ -451,23 +267,11 @@ class _Supervisor:
         self.pending = set(range(runner.shards))
         self.restarts = {i: 0 for i in range(runner.shards)}
         self.incidents: list[str] = []
-        #: Newest dormant clone per shard (older ones are retired by the
-        #: worker itself the moment it takes a fresher snapshot).
-        self.clones: dict[int, _CloneRecord] = {}
-        self.checkpoints = 0
-        #: Largest resident set (kB) observed across dormant clones — the
-        #: real cost of copy-on-write snapshots (ROADMAP item f).  Sampled
-        #: from ``/proc/<pid>/status`` at each announcement and at shutdown,
-        #: so it reflects how much of the snapshot the kernel had to
-        #: materialize as the parent diverged.  Stays 0 where /proc is
-        #: unavailable.
-        self.clone_rss_kb = 0
-        self.recovered_from_checkpoint = 0
-        #: Latest protocol round each shard has proven (heartbeats + ckpts).
+        #: Latest protocol round each shard has proven (its heartbeats).
         self.last_rounds = {i: 0 for i in range(runner.shards)}
-        #: shard -> (death wall-time, victim's last proven round, via);
-        #: resolved into ``recoveries`` when the replacement catches up.
-        self.recovering: dict[int, tuple[float, int, str]] = {}
+        #: shard -> (death wall-time, victim's last proven round); resolved
+        #: into ``recoveries`` when the replacement catches up.
+        self.recovering: dict[int, tuple[float, int]] = {}
         self.recoveries: list[dict] = []
 
     # ------------------------------------------------------------------
@@ -515,15 +319,6 @@ class _Supervisor:
                     self._drain(handle)
             return list(self.per_shard), self._report()
         finally:
-            # Last RSS sample while the clones still exist: by shutdown the
-            # parents have diverged the most, so this is the COW high-water
-            # mark.
-            self._sample_clone_rss()
-            # Unwoken clones block on their wake pipes; closing our end pops
-            # their recv with EOF and they exit on their own.
-            for record in self.clones.values():
-                record.conn.close()
-            self.clones.clear()
             # Reap everything, always: no supervisor exit — success, hang,
             # worker error, or degradation — leaves orphaned workers behind.
             for handle in self.handles.values():
@@ -542,7 +337,7 @@ class _Supervisor:
         process = self.ctx.Process(
             target=_process_main,
             args=(runner.scenario, runner.partition, index, child_conn, incarnation,
-                  replay, suppress, runner.checkpoint_every),
+                  replay, suppress),
             name=f"shard-{index}{suffix}",
         )
         process.start()
@@ -569,9 +364,13 @@ class _Supervisor:
                             pass  # dest died; the log replays this on restart
                 elif kind == "hb":
                     self.last_rounds[handle.index] = message[1]
+                    if handle.index in self.recovering:
+                        # Until it catches up, a replacement sends no rounds,
+                        # so its seam neighbors (and, down a ribbon of
+                        # shards, theirs) sit blocked waiting on it: count
+                        # its replay progress as their liveness too.
+                        self._refresh_live(handle.last_seen)
                     self._check_recovered(handle.index)
-                elif kind == "ckpt":
-                    self._record_checkpoint(handle.index, message[1], message[2])
                 elif kind == "ok":
                     self.per_shard[handle.index] = message[1]
                     self.pending.discard(handle.index)
@@ -582,52 +381,25 @@ class _Supervisor:
                     )
                 if not conn.poll():
                     return
-        # EOFError: the worker died.  Other OSErrors cover the fd-passing
-        # race: a checkpoint announcement whose wake pipe cannot be
-        # reconstructed because the announcing worker was killed between
-        # pickling it and our recv — morally the same death.
+        # EOFError (or a reset pipe): the worker died.
         except (EOFError, OSError):
             self._worker_exited(handle)
 
-    def _record_checkpoint(self, index: int, checkpoint: Checkpoint, wake_conn) -> None:
-        old = self.clones.pop(index, None)
-        if old is not None:
-            # The worker killed that clone before announcing this one; all
-            # that is left to release is our end of its wake pipe.
-            old.conn.close()
-        self.clones[index] = _CloneRecord(checkpoint, wake_conn)
-        self.checkpoints += 1
-        self.last_rounds[index] = checkpoint.rounds
-        self._sample_clone_rss()
-        self._check_recovered(index)
-
-    def _sample_clone_rss(self) -> None:
-        """Fold the dormant clones' current VmRSS into the high-water mark."""
-        peak = self.clone_rss_kb
-        for record in self.clones.values():
-            try:
-                with open(f"/proc/{record.checkpoint.pid}/status") as status:
-                    for line in status:
-                        if line.startswith("VmRSS:"):
-                            peak = max(peak, int(line.split()[1]))
-                            break
-            except (OSError, ValueError, IndexError):
-                continue  # clone already gone, or no /proc on this platform
-        self.clone_rss_kb = peak
+    def _refresh_live(self, now: float) -> None:
+        """Reset every live worker's hang deadline to ``now``."""
+        for handle in self.handles.values():
+            if handle.conn is not None:
+                handle.last_seen = now
 
     def _check_recovered(self, index: int, finished: bool = False) -> None:
         entry = self.recovering.get(index)
         if entry is None:
             return
-        started, target, via = entry
+        started, target = entry
         if finished or self.last_rounds[index] >= target:
             del self.recovering[index]
             self.recoveries.append(
-                {
-                    "shard": index,
-                    "via": via,
-                    "recovery_s": round(time.monotonic() - started, 4),
-                }
+                {"shard": index, "recovery_s": round(time.monotonic() - started, 4)}
             )
 
     # ------------------------------------------------------------------
@@ -638,15 +410,10 @@ class _Supervisor:
         handle.conn.close()
         handle.conn = None
         index = handle.index
-        record = self.clones.pop(index, None)
         if index not in self.pending:
-            if record is not None:
-                record.conn.close()
             return  # normal exit, result already delivered
         status = _describe_exit(process)
         if self.restarts[index] >= runner.max_restarts:
-            if record is not None:
-                record.conn.close()
             raise _DegradedRun(
                 f"shard {index} died ({status}) after "
                 f"{self.restarts[index]} restart(s); falling back to the "
@@ -656,76 +423,23 @@ class _Supervisor:
             )
         self.restarts[index] += 1
         died_at = time.monotonic()
-        target = self.last_rounds.get(index, 0)
+        target = self.last_rounds[index]
         time.sleep(runner.restart_backoff_s * (2 ** (self.restarts[index] - 1)))
         # The backoff blocks the drain loop, so the hang deadlines of every
         # *other* worker just aged without their pipes being read.  Refresh
         # them: a deadline must measure worker silence, not supervisor sleep.
-        now = time.monotonic()
-        for other in self.handles.values():
-            if other.conn is not None:
-                other.last_seen = now
-        via = None
-        if record is not None:
-            woken = self._wake_clone(index, record)
-            if woken is not None:
-                self.handles[index] = woken
-                self.recovered_from_checkpoint += 1
-                via = f"checkpoint (round {record.checkpoint.rounds})"
-                self.recovering[index] = (died_at, target, "checkpoint")
-        if via is None:
-            # Deterministic re-execution from t=0: the replacement re-runs
-            # with every round its predecessor already received pre-seeded
-            # (replay) and every round the predecessor already delivered
-            # swallowed (suppress) — it fast-forwards to the crash point
-            # bit-for-bit and picks up the protocol exactly where the dead
-            # incarnation left it.
-            replay = {
-                j: tuple(self.sent_log[(j, index)]) for j in self.neighbors[index]
-            }
-            suppress = {
-                j: len(self.sent_log[(index, j)]) for j in self.neighbors[index]
-            }
-            self.handles[index] = self._spawn(
-                index, self.restarts[index], replay, suppress
-            )
-            via = "full replay"
-            self.recovering[index] = (died_at, target, "replay")
+        self._refresh_live(time.monotonic())
+        # Deterministic re-execution from t=0: the replacement re-runs with
+        # every round its predecessor already received pre-seeded (replay)
+        # and every round the predecessor already delivered swallowed
+        # (suppress) — it fast-forwards to the crash point bit-for-bit and
+        # picks up the protocol exactly where the dead incarnation left it.
+        replay = {j: tuple(self.sent_log[(j, index)]) for j in self.neighbors[index]}
+        suppress = {j: len(self.sent_log[(index, j)]) for j in self.neighbors[index]}
+        self.handles[index] = self._spawn(index, self.restarts[index], replay, suppress)
+        self.recovering[index] = (died_at, target)
         self.incidents.append(
-            f"shard {index} died ({status}); restart #{self.restarts[index]} "
-            f"via {via}"
-        )
-
-    def _wake_clone(self, index: int, record: _CloneRecord) -> _WorkerHandle | None:
-        """Resume the newest snapshot with the log suffix it is missing."""
-        checkpoint = record.checkpoint
-        try:
-            os.kill(checkpoint.pid, 0)
-        except (ProcessLookupError, PermissionError):
-            # The clone died with (or before) its worker — e.g. the worker
-            # was killed between retiring it and forking its successor.
-            record.conn.close()
-            return None
-        replay = {
-            j: tuple(self.sent_log[(j, index)][checkpoint.recv_total.get(j, 0):])
-            for j in self.neighbors[index]
-        }
-        suppress = {
-            j: max(0, len(self.sent_log[(index, j)]) - checkpoint.sent_total.get(j, 0))
-            for j in self.neighbors[index]
-        }
-        incarnation = self.restarts[index]
-        try:
-            record.conn.send(("wake", incarnation, replay, suppress))
-        except (BrokenPipeError, OSError):  # pragma: no cover - clone raced us
-            record.conn.close()
-            return None
-        return _WorkerHandle(
-            index,
-            _CloneProcess(checkpoint.pid),
-            record.conn,
-            incarnation,
-            time.monotonic(),
+            f"shard {index} died ({status}); restart #{self.restarts[index]}"
         )
 
     # ------------------------------------------------------------------
@@ -740,18 +454,14 @@ class _Supervisor:
         return "; ".join(parts)
 
     def _report(self) -> dict:
-        supervision: dict = {}
-        if self.checkpoints:
-            supervision["checkpoints"] = self.checkpoints
-            if self.clone_rss_kb:
-                supervision["clone_rss_kb"] = self.clone_rss_kb
         total_restarts = sum(self.restarts.values())
-        if total_restarts:
-            supervision["restarts"] = total_restarts
-            supervision["recovered_from_checkpoint"] = self.recovered_from_checkpoint
-            supervision["incidents"] = list(self.incidents)
-            supervision["recoveries"] = list(self.recoveries)
-        return supervision
+        if not total_restarts:
+            return {}
+        return {
+            "restarts": total_restarts,
+            "incidents": list(self.incidents),
+            "recoveries": list(self.recoveries),
+        }
 
 
 class ShardedRunner:
@@ -766,13 +476,9 @@ class ShardedRunner:
     survivor is reaped; a worker that *dies* is restarted up to
     ``max_restarts`` times per shard (exponential backoff from
     ``restart_backoff_s``), after which the run degrades to the inline
-    driver.  Every ``checkpoint_every`` protocol rounds each worker parks a
-    fork-based snapshot clone, and recovery wakes the newest clone with the
-    message-log suffix since the snapshot instead of re-executing from t=0
-    (``checkpoint_every=0`` disables snapshots and forces full replay).
-    Recovery accounting lands in ``RunResult.supervision`` — never in
-    ``counters``, which stay bit-identical to an undisturbed run on both
-    recovery paths.
+    driver.  A replacement re-executes from t=0 against the parent's message
+    log.  Recovery accounting lands in ``RunResult.supervision`` — never in
+    ``counters``, which stay bit-identical to an undisturbed run.
     """
 
     def __init__(
@@ -784,7 +490,6 @@ class ShardedRunner:
         hang_timeout_s: float = 60.0,
         max_restarts: int = 2,
         restart_backoff_s: float = 0.05,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ):
         if not isinstance(scenario, Scenario):
             scenario = Scenario.from_spec(scenario)
@@ -795,14 +500,20 @@ class ShardedRunner:
         self.shards = scenario.shards if shards is None else shards
         if self.shards < 1:
             raise NetworkError(f"shards must be >= 1, got {self.shards}")
-        if checkpoint_every < 0:
+        if hang_timeout_s <= 0:
+            raise NetworkError(f"hang_timeout_s must be > 0, got {hang_timeout_s}")
+        if max_restarts < 0:
             raise NetworkError(
-                f"checkpoint_every must be >= 0 (0 disables), got {checkpoint_every}"
+                "max_restarts must be >= 0 (0 degrades on the first death), "
+                f"got {max_restarts}"
+            )
+        if restart_backoff_s < 0:
+            raise NetworkError(
+                f"restart_backoff_s must be >= 0, got {restart_backoff_s}"
             )
         self.hang_timeout_s = hang_timeout_s
         self.max_restarts = max_restarts
         self.restart_backoff_s = restart_backoff_s
-        self.checkpoint_every = checkpoint_every
         _check_shardable(scenario)
         self.topology = topology_from_spec(scenario.topology)
         self.partition = partition_topology(

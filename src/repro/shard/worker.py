@@ -222,37 +222,22 @@ class ShardWorker:
     def _arm_process_chaos(self, plan) -> None:
         """Schedule this shard's worker kill/hang events.  ``benign=True``:
         dying mid-simulation must not perturb the event hazard accounting,
-        so the replacement's re-execution is bit-identical up to the kill.
-        Handles are kept so a checkpoint clone can disarm them on fork — it
-        inherits the pending kill in its copy-on-write heap, and waking it
-        must not re-fire its parent's death."""
+        so the replacement's re-execution is bit-identical up to the kill."""
         import os
         import signal as signal_module
 
-        self._chaos_events = []
         for event in plan.process_events:
             if event.shard != self.index:
                 continue
             at = seconds(event.at_s)
             if event.kind == "worker_kill":
-                handle = self.sim.schedule_at(
+                self.sim.schedule_at(
                     at, os.kill, os.getpid(), signal_module.SIGKILL, benign=True
                 )
             else:  # worker_hang: stop heartbeating without exiting
-                handle = self.sim.schedule_at(
+                self.sim.schedule_at(
                     at, time.sleep, event.hang_s or 10_000.0, benign=True
                 )
-            self._chaos_events.append(handle)
-
-    def disarm_process_chaos(self) -> None:
-        """Cancel every pending chaos event (checkpoint-clone fork path).
-
-        Cancelled events never fire, so ``events_fired`` and the hazard
-        horizon stay exactly what a chaos-free replacement would produce —
-        the bit-equality contract holds on the checkpoint recovery path."""
-        for handle in getattr(self, "_chaos_events", ()):
-            handle.cancel()
-        self._chaos_events = []
 
     # ------------------------------------------------------------------
     # Outbound capture

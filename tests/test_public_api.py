@@ -68,7 +68,6 @@ EXPECTED_ALL = [
     "from_spec",
     "RunResult",
     "run",
-    "run_scenario",
     "ShardedRunner",
     "FaultPlan",
     "__version__",
@@ -109,8 +108,8 @@ def test_run_matches_legacy_scenario_path_bit_for_bit():
     assert "wall_s" in result.timings and "wall_s" not in result.counters
 
 
-def test_run_scenario_alias_and_as_row():
-    result = repro.run_scenario("static-flood", seed=1, duration_s=3.0)
+def test_run_result_as_row():
+    result = repro.run("static-flood", seed=1, duration_s=3.0)
     row = result.as_row()
     assert set(row) == set(result.counters) | set(result.timings)
     assert result["nodes"] == result.counters["nodes"]
