@@ -24,6 +24,14 @@ mid-batch: the slice is suspended and resumed in a fresh event at the exact
 tick the old engine would have dispatched them.  ``yield``-class outcomes
 (``YIELD``/``SLEEP``/``WAIT``/``BLOCKED_TS``/...) end the slice exactly as
 before.
+
+The engine does not decode bytecode itself.
+:meth:`~repro.agilla.instruction_manager.InstructionManager.fetch` returns
+each instruction already decoded: its definition, operand bytes, length,
+issue cycles (block-crossing charge included), handler and whether it may
+run mid-batch.  Decoding happens once per program and PC, in a table that
+every mote of the network running that program shares, so what is left
+here for each instruction is the handler call and the CPU charge.
 """
 
 from __future__ import annotations
@@ -33,9 +41,8 @@ from typing import Any, Callable
 
 from repro.agilla.agent import Agent, AgentState
 from repro.agilla.execution import ExecContext, Outcome
-from repro.agilla.isa import BY_OPCODE, NOW_PURE_OPCODES, InstructionDef
+from repro.agilla.isa import InstructionDef
 from repro.agilla.tuples import AgillaTuple
-from repro.agilla.vm_ops import HANDLERS
 from repro.agilla.fields import Value
 from repro.errors import AgentError, CodeMemoryError
 from repro.sim.kernel import EventHandle
@@ -48,9 +55,6 @@ DISPATCH_CYCLES = 90
 #: loop charges this between batched instructions so the CPU timeline matches
 #: the per-instruction task posts it replaced.
 _HOP_CYCLES = DISPATCH_CYCLES + TaskQueue.DISPATCH_CYCLES
-#: Extra cycles when a fetch crosses a 22-byte code-block boundary
-#: (forward-pointer chase in the instruction manager).
-BLOCK_CROSS_CYCLES = 60
 
 
 class AgillaEngine:
@@ -137,10 +141,10 @@ class AgillaEngine:
         and with it every send, sleep, and timer downstream — lands on the
         same microsecond.  A batched handler may observe a slightly stale
         ``sim.now``; handlers for which that is observable are excluded from
-        :data:`NOW_PURE_OPCODES` and make the slice suspend, resuming in a
-        fresh event at the instruction's true tick (``on_instruction``
-        instrumentation forces that per-instruction mode globally, so traces
-        keep exact timestamps).
+        :data:`~repro.agilla.isa.NOW_PURE_OPCODES` and make the slice
+        suspend, resuming in a fresh event at the instruction's true tick
+        (``on_instruction`` instrumentation forces that per-instruction mode
+        globally, so traces keep exact timestamps).
         """
         run_queue = self.run_queue
         while run_queue and run_queue[0].state != AgentState.READY:
@@ -157,8 +161,7 @@ class AgillaEngine:
         middleware = self.middleware
         sim = middleware.mote.sim
         cpu = middleware.mote.cpu
-        manager = middleware.instruction_manager
-        cycle_overrides = middleware.params.cycle_overrides
+        fetch = middleware.instruction_manager.fetch
         first = True
         while True:
             if agent.pending_reactions:
@@ -167,18 +170,17 @@ class AgillaEngine:
                     return
 
             try:
-                opcode = manager.read(agent.id, agent.pc, 1)[0]
-                idef = BY_OPCODE.get(opcode)
-                if idef is None:
-                    raise AgentError(f"agent {agent.id}: invalid opcode 0x{opcode:02x}")
-                raw = manager.read(agent.id, agent.pc, idef.length)
+                idef, operand, length, cycles, handler, now_pure = fetch(
+                    agent.id, agent.pc
+                )
             except (AgentError, CodeMemoryError) as exc:
                 if not first:
-                    # The fetch mutated nothing, so a mid-batch fetch trap is
-                    # safely re-raised as the *first* fetch of a fresh event
-                    # at the instruction's true tick — the death log then
-                    # records the same timestamp the per-instruction engine
-                    # would have.
+                    # A failed fetch mutates nothing (failed decodes are never
+                    # cached), so a mid-batch fetch trap is safely re-raised
+                    # as the *first* fetch of a fresh event at the
+                    # instruction's true tick — the death log then records
+                    # the same timestamp the per-instruction engine would
+                    # have.
                     self.slice_suspensions += 1
                     sim.schedule_at(cpu.busy_until, self._dispatch, benign=True)
                     return
@@ -186,9 +188,7 @@ class AgillaEngine:
                 self._continue()
                 return
 
-            if not first and (
-                opcode not in NOW_PURE_OPCODES or self.on_instruction is not None
-            ):
+            if not first and (not now_pure or self.on_instruction is not None):
                 # Time-sensitive handler mid-batch: suspend the slice (budget
                 # and current agent survive) and resume at the exact tick the
                 # per-instruction engine would have dispatched it.  The hop
@@ -198,27 +198,16 @@ class AgillaEngine:
                 return
 
             pc_before = agent.pc
-            agent.pc = pc_before + idef.length
-            context = ExecContext(
-                agent=agent,
-                middleware=middleware,
-                idef=idef,
-                operand=raw[1:],
-                pc_before=pc_before,
-            )
+            agent.pc = pc_before + length
+            context = ExecContext(agent, middleware, idef, operand, pc_before)
             try:
-                outcome, extra = HANDLERS[idef.name](context)
+                outcome, extra = handler(context)
             except AgentError as exc:
                 self._trap(agent, exc)
                 self._continue()
                 return
 
-            cycles = idef.base_cycles + extra
-            if manager.crosses_block(agent.id, pc_before, idef.length):
-                cycles += BLOCK_CROSS_CYCLES
-            override = cycle_overrides.get(idef.name)
-            if override is not None:
-                cycles = override + extra
+            cycles += extra
             agent.instructions_executed += 1
             self.instructions_executed += 1
             if self.on_instruction is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.agilla.agent import Agent
 from repro.agilla.assembler import Program
 from repro.agilla.engine import AgillaEngine
-from repro.agilla.instruction_manager import InstructionManager
+from repro.agilla.instruction_manager import InstructionManager, ProgramTables
 from repro.agilla.managers import AgentManager, ContextManager, TupleSpaceManager
 from repro.agilla.migration import MigrationService
 from repro.agilla.params import DEFAULT_PARAMS, FLASH_FOOTPRINTS, AgillaParams
@@ -41,6 +41,8 @@ class AgillaMiddleware:
         geo: GeoMessaging,
         params: AgillaParams | None = None,
         adaptive: bool = False,
+        *,
+        programs: ProgramTables,
     ):
         self.mote = mote
         self.stack = stack
@@ -57,6 +59,7 @@ class AgillaMiddleware:
             mote.memory,
             block_bytes=self.params.code_block_bytes,
             num_blocks=self.params.code_blocks,
+            programs=programs,
         )
         self.tuplespace_manager = TupleSpaceManager(self)
         self.agent_manager = AgentManager(self)

@@ -18,7 +18,7 @@ The CPU runs at 8 MHz, so cycles / 8 = microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.units import ms, seconds
 
@@ -113,10 +113,6 @@ class AgillaParams:
 
     # --- sleep instruction: ticks of 1/8 s (Figure 13: 4800 ticks = 10 min) ---
     sleep_tick: int = 125_000
-
-    # --- Per-opcode cycle overrides (name -> cycles); class defaults apply
-    #     otherwise.  Populated by the ISA module.
-    cycle_overrides: dict[str, int] = field(default_factory=dict)
 
 
 #: Nominal flash (code) footprint per middleware component, in bytes.

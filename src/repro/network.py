@@ -26,6 +26,7 @@ from typing import Callable, Iterable
 
 from repro.agilla.agent import Agent
 from repro.agilla.assembler import Program
+from repro.agilla.instruction_manager import ProgramTables
 from repro.agilla.middleware import AgillaMiddleware
 from repro.agilla.params import AgillaParams
 from repro.errors import NetworkError
@@ -109,6 +110,9 @@ class SensorNetwork:
         self._beacon_expiry_intervals = beacon_expiry_intervals
         self.sim = Simulator(seed=seed)
         self.params = params if params is not None else AgillaParams()
+        #: Decoded-instruction tables shared by every mote of this network:
+        #: motes running one program share its table.
+        self.programs = ProgramTables()
         self.environment = environment if environment is not None else Environment()
         self.physical = physical
         if link_model is None:
@@ -201,7 +205,13 @@ class SensorNetwork:
         )
         geo = GeoMessaging(mote, stack, router)
         middleware = AgillaMiddleware(
-            mote, stack, beacons, geo, self.params, adaptive=self.adaptive
+            mote,
+            stack,
+            beacons,
+            geo,
+            self.params,
+            adaptive=self.adaptive,
+            programs=self.programs,
         )
         self.nodes[location] = Node(mote, stack, beacons, router, geo, middleware)
 

@@ -231,7 +231,9 @@ class _WorkerHandle:
     process: object
     conn: object
     incarnation: int
-    last_seen: float
+    #: Seconds the supervisor has listened to this worker since its last
+    #: message; the hang deadline fires at ``hang_timeout_s``.
+    silent_s: float = 0.0
 
 
 class _DegradedRun(Exception):
@@ -291,19 +293,22 @@ class _Supervisor:
                         "sharded run lost every pending worker connection "
                         f"({self._worker_report()})"
                     )
-                now = time.monotonic()
-                deadline = (
-                    min(h.last_seen for h in watch.values()) + runner.hang_timeout_s
-                )
-                ready = mp_connection.wait(
-                    list(watch), timeout=max(0.0, min(deadline - now, 0.5))
-                )
+                quietest = max(h.silent_s for h in watch.values())
+                timeout = max(0.0, min(runner.hang_timeout_s - quietest, 0.5))
+                started = time.monotonic()
+                ready = mp_connection.wait(list(watch), timeout=timeout)
+                # Silence accrues only while the supervisor listens: time it
+                # spends draining, forwarding, backing off a restart or
+                # paused itself is not time a worker failed to speak, and
+                # nor is wall time past the timeout it listened for.
+                listened = min(time.monotonic() - started, timeout)
+                for handle in watch.values():
+                    handle.silent_s += listened
                 if not ready:
-                    now = time.monotonic()
                     overdue = sorted(
                         h.index
                         for h in watch.values()
-                        if now - h.last_seen > runner.hang_timeout_s
+                        if h.silent_s >= runner.hang_timeout_s
                     )
                     if overdue:
                         raise NetworkError(
@@ -342,7 +347,7 @@ class _Supervisor:
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(index, process, parent_conn, incarnation, time.monotonic())
+        return _WorkerHandle(index, process, parent_conn, incarnation)
 
     # ------------------------------------------------------------------
     def _drain(self, handle: _WorkerHandle) -> None:
@@ -351,7 +356,7 @@ class _Supervisor:
         try:
             while True:
                 message = conn.recv()
-                handle.last_seen = time.monotonic()
+                handle.silent_s = 0.0
                 kind = message[0]
                 if kind == "round":
                     _, dest, payload = message
@@ -369,7 +374,7 @@ class _Supervisor:
                         # so its seam neighbors (and, down a ribbon of
                         # shards, theirs) sit blocked waiting on it: count
                         # its replay progress as their liveness too.
-                        self._refresh_live(handle.last_seen)
+                        self._refresh_live()
                     self._check_recovered(handle.index)
                 elif kind == "ok":
                     self.per_shard[handle.index] = message[1]
@@ -385,11 +390,11 @@ class _Supervisor:
         except (EOFError, OSError):
             self._worker_exited(handle)
 
-    def _refresh_live(self, now: float) -> None:
-        """Reset every live worker's hang deadline to ``now``."""
+    def _refresh_live(self) -> None:
+        """Restart every live worker's hang deadline."""
         for handle in self.handles.values():
             if handle.conn is not None:
-                handle.last_seen = now
+                handle.silent_s = 0.0
 
     def _check_recovered(self, index: int, finished: bool = False) -> None:
         entry = self.recovering.get(index)
@@ -425,10 +430,6 @@ class _Supervisor:
         died_at = time.monotonic()
         target = self.last_rounds[index]
         time.sleep(runner.restart_backoff_s * (2 ** (self.restarts[index] - 1)))
-        # The backoff blocks the drain loop, so the hang deadlines of every
-        # *other* worker just aged without their pipes being read.  Refresh
-        # them: a deadline must measure worker silence, not supervisor sleep.
-        self._refresh_live(time.monotonic())
         # Deterministic re-execution from t=0: the replacement re-runs with
         # every round its predecessor already received pre-seeded (replay)
         # and every round the predecessor already delivered swallowed
@@ -471,9 +472,10 @@ class ShardedRunner:
     (the production path); ``mode="inline"`` phase-steps every worker in this
     process — the single-process reference the parity tests compare against.
 
-    Supervision knobs (process mode): a worker that sends nothing for
-    ``hang_timeout_s`` raises a descriptive :class:`NetworkError` after every
-    survivor is reaped; a worker that *dies* is restarted up to
+    Supervision knobs (process mode): a worker that sends nothing through
+    ``hang_timeout_s`` of the supervisor listening (its own drains, backoffs
+    and pauses do not count) raises a descriptive :class:`NetworkError` after
+    every survivor is reaped; a worker that *dies* is restarted up to
     ``max_restarts`` times per shard (exponential backoff from
     ``restart_backoff_s``), after which the run degrades to the inline
     driver.  A replacement re-executes from t=0 against the parent's message

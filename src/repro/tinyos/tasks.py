@@ -61,8 +61,14 @@ class Cpu:
         bit-identical to one completion event per instruction) while posting
         only one kernel event per slice.
         """
-        start = max(self.sim.now, self.busy_until)
-        finish = start + self.cycles_to_us(cycles)
+        # Runs once per Agilla instruction, so it reads the kernel clock
+        # directly and inlines cycles_to_us (``or 1`` is its ``max(1, ...)``
+        # for the non-negative cycle counts charged here).
+        now = self.sim._now
+        busy = self.busy_until
+        finish = (now if now > busy else busy) + (
+            round(cycles / self._cycles_per_us) or 1
+        )
         self.busy_until = finish
         self.cycles_executed += cycles
         return finish

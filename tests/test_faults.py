@@ -672,6 +672,36 @@ class TestSelfHealing:
         assert healed.supervision["restarts"] == 1
         assert "degraded" not in healed.supervision
 
+    def test_supervisor_stall_does_not_false_hang_workers(self, monkeypatch):
+        """Regression: the hang deadline counted the supervisor's own stalls
+        (a slow drain, a GC pause) as worker silence.  The supervisor stalls
+        0.6 s, twice the deadline, while shard *peer* sits blocked on a round
+        only this drain can forward; the run must finish undisturbed."""
+        import repro.shard.runner as runner_module
+        from repro.bench.faults import fault_scenario
+
+        drain = runner_module._Supervisor._drain
+        stalls = []
+
+        def stalling_drain(supervisor, handle):
+            peer = 1 - handle.index
+            answered = len(supervisor.sent_log[(handle.index, peer)])
+            # The peer posted a round this shard has not answered yet, so it
+            # sends nothing until this drain forwards the answer.
+            posted = len(supervisor.sent_log[(peer, handle.index)])
+            if not stalls and answered >= 50 and posted > answered:
+                stalls.append(handle.index)
+                time.sleep(0.6)
+            drain(supervisor, handle)
+
+        monkeypatch.setattr(runner_module._Supervisor, "_drain", stalling_drain)
+        spec = fault_scenario(seed=0, duration_s=20.0)
+        result = ShardedRunner(
+            Scenario.from_spec(dict(spec, shards=2)), hang_timeout_s=0.3
+        ).run()
+        assert stalls
+        assert result.supervision == {}
+
     def test_restart_budget_exhausted_degrades_to_inline(self):
         undisturbed = ShardedRunner(
             Scenario.from_spec(dict(BASE_SPEC, shards=2))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.agilla.agent import AgentState
+from repro.agilla.assembler import Program
 from repro.agilla.fields import (
     AgentIdField,
     LocationField,
@@ -13,7 +14,10 @@ from repro.agilla.fields import (
 from repro.location import Location
 from repro.mote.environment import ConstantField, Environment
 from repro.mote.sensors import TEMPERATURE
+from repro.network import SensorNetwork
+from repro.radio.linkmodels import PerfectLinks
 from repro.sim.units import seconds
+from repro.topology import GridTopology
 
 from tests.util import corridor, run_agent, single_node
 
@@ -277,3 +281,66 @@ class TestSleepAndScheduling:
         net = single_node()
         agent = run_agent(net, "pushc 1\npushc 2\nadd\nwait")
         assert agent.instructions_executed == 4
+
+
+class TestDecodedFetch:
+    """Fetches decode through per-program tables shared across a network;
+    these pin each fetch trap's exact text and tick."""
+
+    @staticmethod
+    def run_raw(code, net=None, at=(1, 1)):
+        net = net if net is not None else single_node()
+        agent = net.inject(Program("raw", bytes(code)), at=at)
+        net.run_until(lambda: agent.state == AgentState.DEAD, 10.0)
+        return agent
+
+    def test_negative_pc_traps_instead_of_wrapping(self):
+        agent = run_agent(single_node(), "pushcl -5\njump")
+        assert agent.trap == f"agent {agent.id}: code fetch [-5:-4] outside image of 4 B"
+
+    def test_jump_into_pushcl_operand_decodes_that_byte(self):
+        # pushcl 255 = 2c ff 00; its low operand byte is no opcode.
+        agent = self.run_raw([0x2C, 0xFF, 0x00, 0x2B, 0x01, 0x19])  # ...; pushc 1; jump
+        assert agent.instructions_executed == 3
+        assert agent.trap == f"agent {agent.id}: invalid opcode 0xff"
+
+    def test_truncated_instruction_at_image_end_traps(self):
+        agent = self.run_raw([0x2B, 0x01, 0x2C, 0x05])  # pushc 1; pushcl, 1 of 2 B
+        assert agent.trap == f"agent {agent.id}: code fetch [2:5] outside image of 4 B"
+
+    def test_invalid_opcode_at_image_end_traps(self):
+        agent = self.run_raw([0x2B, 0x01, 0x3C])  # pushc 1; 0x3c is unassigned
+        assert agent.trap == f"agent {agent.id}: invalid opcode 0x3c"
+
+    def test_mid_slice_fetch_trap_is_stamped_at_its_true_tick(self):
+        net = single_node()
+        agent = run_agent(net, "pushc 1\npop")  # falls off the end mid-slice
+        assert agent.trap == f"agent {agent.id}: code fetch [3:4] outside image of 3 B"
+        # Three 16 us dispatch hops and two 60 us class-A instructions: the
+        # third fetch's own tick, not the slice's start.
+        death_log = net.middleware((1, 1)).agent_manager.death_log
+        assert death_log == [(agent.id, "test", f"trap: {agent.trap}", 168)]
+
+    def test_one_table_per_program_per_network(self):
+        def deploy():
+            net = SensorNetwork(
+                GridTopology(2, 1), link_model=PerfectLinks(), base_station=False
+            )
+            decoded = []
+            for at in ((1, 1), (2, 1)):
+                agent = run_agent(net, "pushc 1\nwait", at=at)
+                decoded.append(net.middleware(at).instruction_manager.fetch(agent.id, 0))
+            return decoded
+
+        first, second = deploy()
+        other, _ = deploy()
+        assert first is second
+        assert other == first and other is not first
+
+    def test_failed_decodes_are_not_shared(self):
+        """A trap names its own agent, so a failed decode is never cached."""
+        net = single_node()
+        first = self.run_raw([0x2B, 0x01, 0x3C], net)
+        second = self.run_raw([0x2B, 0x01, 0x3C], net)
+        assert first.id != second.id
+        assert second.trap == f"agent {second.id}: invalid opcode 0x3c"
