@@ -73,14 +73,7 @@ from repro.mote import (
     MovingTargetField,
     waypoint_path,
 )
-from repro.network import (
-    Deployment,
-    GridNetwork,
-    Node,
-    SensorNetwork,
-    build_grid_network,
-    build_network,
-)
+from repro.network import Node, SensorNetwork, build_network
 from repro.scenarios import BUILTIN_SCENARIOS, Scenario
 from repro.sim import Simulator
 from repro.topology import (
@@ -99,7 +92,7 @@ from repro.api import RunResult, run
 from repro.faults import FaultPlan
 from repro.shard import ShardedRunner
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Agent",
@@ -131,11 +124,8 @@ __all__ = [
     "LIGHT",
     "MAGNETOMETER",
     "TEMPERATURE",
-    "Deployment",
-    "GridNetwork",
     "Node",
     "SensorNetwork",
-    "build_grid_network",
     "build_network",
     "DeploymentDynamics",
     "DutyCycle",

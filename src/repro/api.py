@@ -1,15 +1,13 @@
 """The one run entry point: ``repro.run(...)`` returning a typed result.
 
-Before this module there were three ways to drive an experiment — raw
-``Simulator.run`` over a hand-built network, ``Scenario.run()`` returning a
-flat metrics dict, and the bench drivers' private loops.  ``run()`` unifies
-them: give it a :class:`~repro.scenarios.spec.Scenario`, a spec dict, a
-builtin name, or a JSON path; get back a :class:`RunResult` that separates
+Give it a :class:`~repro.scenarios.spec.Scenario`, a spec dict, a builtin
+name, or a JSON path; get back a :class:`RunResult` that separates
 *behavior counters* (deterministic for a fixed seed and shard count) from
-*timings* (wall-clock pacing, never deterministic).
+*timings* (wall-clock pacing, never deterministic).  The bench sweeps build
+their scenario-shaped rows from it too.
 
-``shards=1`` takes the classic single-process path and is bit-for-bit
-identical to ``Scenario.run()``; ``shards>1`` hands off to
+``shards=1`` builds the scenario and drives its clock in this process
+(:meth:`~repro.scenarios.spec.ScenarioRun.run`); ``shards>1`` hands off to
 :class:`~repro.shard.runner.ShardedRunner`.
 """
 

@@ -107,10 +107,12 @@ def _scenario_names(text: str) -> tuple[str, ...]:
     return _csv_items(text, "scenario names or spec paths")
 
 
+def _json_path(args, name: str) -> str:
+    """Where ``BENCH_<name>.json`` goes: under ``--out`` if given, else cwd."""
+    return os.path.join(args.out or "", f"BENCH_{name}.json")
+
+
 def _scenario(args) -> list[Table]:
-    json_path = (
-        os.path.join(args.out, "BENCH_scenarios.json") if args.out else "BENCH_scenarios.json"
-    )
     # Scenarios carry their own seed/duration; the shared flags override every
     # spec only when passed explicitly (argparse default is None).
     return [
@@ -118,30 +120,26 @@ def _scenario(args) -> list[Table]:
             scenarios=args.scenarios,
             seed=args.seed,
             duration_s=args.duration,
-            json_path=json_path,
+            json_path=_json_path(args, "scenarios"),
         )
     ]
 
 
 def _scale(args) -> list[Table]:
-    json_path = os.path.join(args.out, "BENCH_scale.json") if args.out else "BENCH_scale.json"
     return [
         scale.run_scale(
             node_counts=args.nodes,
             topologies=args.topologies,
             seed=args.seed,
             duration_s=args.duration,
-            json_path=json_path,
+            json_path=_json_path(args, "scale"),
         )
     ]
 
 
 def _fanout(args) -> list[Table]:
-    json_path = (
-        os.path.join(args.out, "BENCH_fanout.json") if args.out else "BENCH_fanout.json"
-    )
     return fanout.run_fanout_bench(
-        json_path=json_path,
+        json_path=_json_path(args, "fanout"),
         node_counts=args.nodes,
         seed=args.seed if args.seed is not None else 0,
     )
@@ -160,9 +158,6 @@ def _worker_counts(text: str) -> tuple[int, ...]:
 
 
 def _shard(args) -> list[Table]:
-    json_path = (
-        os.path.join(args.out, "BENCH_shard.json") if args.out else "BENCH_shard.json"
-    )
     # --nodes defaults to the *scale* sweep's counts; give the shard sweep its
     # own default unless the flag was passed explicitly.
     node_counts = (
@@ -174,35 +169,29 @@ def _shard(args) -> list[Table]:
             workers=args.workers,
             seed=args.seed if args.seed is not None else 0,
             duration_s=args.duration if args.duration is not None else shard.DEFAULT_SHARD_SIM_S,
-            json_path=json_path,
+            json_path=_json_path(args, "shard"),
         )
     ]
 
 
 def _faults(args) -> list[Table]:
-    json_path = (
-        os.path.join(args.out, "BENCH_faults.json") if args.out else "BENCH_faults.json"
-    )
     # The battery keeps its own duration/seed unless the flags were passed
     # explicitly (argparse defaults are None under the shared parser).
     return [
         faults.run_fault_bench(
             seed=args.seed if args.seed is not None else 0,
             duration_s=args.duration if args.duration is not None else faults.DEFAULT_FAULT_SIM_S,
-            json_path=json_path,
+            json_path=_json_path(args, "faults"),
         )
     ]
 
 
 def _kernel(args) -> list[Table]:
-    json_path = (
-        os.path.join(args.out, "BENCH_kernel.json") if args.out else "BENCH_kernel.json"
-    )
     # Like the scenario sweep, the battery keeps its own duration unless the
     # flag was passed explicitly (argparse default is None for kernel).
     return [
         perf.run_kernel_bench(
-            json_path=json_path,
+            json_path=_json_path(args, "kernel"),
             seed=args.seed if args.seed is not None else 0,
             sim_s=args.duration if args.duration is not None else perf.DEFAULT_KERNEL_SIM_S,
         )

@@ -34,12 +34,10 @@ noise).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 
-from repro.bench.reporting import Table, peak_rss_kb
+from repro.bench.reporting import Table, peak_rss_kb, write_artifact
 from repro.location import Location
 from repro.mote import Environment, Mote
 from repro.radio import Channel, Frame, Transmission, UniformLossLinks
@@ -362,17 +360,5 @@ def run_fanout_bench(
             "sampled audience where the vector pass beats the scalar loop; "
             "backs the committed VECTOR_FANOUT_MIN)"
         )
-    if json_path:
-        payload = {
-            "experiment": "fanout",
-            "seed": seed,
-            "fanout_break_even": break_even,
-            "rows": rows,
-        }
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        table.add_note(f"raw data saved to {json_path}")
+    write_artifact(table, json_path, rows, seed=seed, fanout_break_even=break_even)
     return [table, sense_table]

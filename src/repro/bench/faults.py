@@ -30,11 +30,9 @@ and the weekly ``bench trend`` loop like every other artifact.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
-from repro.bench.reporting import Table, peak_rss_kb
+from repro.bench.reporting import Table, peak_rss_kb, write_artifact
 from repro.faults.plan import FaultPlan
 from repro.scenarios.spec import Scenario
 from repro.shard.runner import TIMING_KEYS, ShardedRunner, cpu_count
@@ -313,18 +311,7 @@ def run_fault_bench(
                 f"WARNING: {row['case']} counters diverged from the "
                 "undisturbed run"
             )
-    if json_path:
-        payload = {
-            "experiment": "faults",
-            "seed": seed,
-            "duration_s": duration_s,
-            "cpus": cpu_count(),
-            "rows": rows,
-        }
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        table.add_note(f"raw data saved to {json_path}")
+    write_artifact(
+        table, json_path, rows, seed=seed, duration_s=duration_s, cpus=cpu_count()
+    )
     return table

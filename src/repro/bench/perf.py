@@ -16,13 +16,13 @@ Two entry points, both reachable from the CLI:
 from __future__ import annotations
 
 import cProfile
+import dataclasses
 import io
-import json
 import os
 import pstats
 import time
 
-from repro.bench.reporting import Table, peak_rss_kb
+from repro.bench.reporting import Table, peak_rss_kb, write_artifact
 from repro.scenarios import Scenario
 from repro.sim.kernel import Simulator
 from repro.sim.units import ms, seconds
@@ -52,7 +52,7 @@ def run_profile(
     """
     scenario = Scenario.from_spec(scenario_spec)
     if duration_s is not None:
-        scenario.duration_s = duration_s
+        scenario = dataclasses.replace(scenario, duration_s=duration_s)
     run = scenario.build()  # deploy outside the profile: we profile the *run*
     profiler = cProfile.Profile()
     profiler.enable()
@@ -231,12 +231,5 @@ def run_kernel_bench(
         "reuses = periodic fires that recycled their EventHandle; compactions "
         "= in-place heap rebuilds triggered by a >50% dead queue"
     )
-    if json_path:
-        payload = {"experiment": "kernel", "rows": rows}
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        table.add_note(f"raw data saved to {json_path}")
+    write_artifact(table, json_path, rows)
     return table

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -73,6 +74,24 @@ class Table:
         """All values of one column (for benchmark assertions)."""
         index = self.headers.index(header)
         return [row[index] for row in self.rows]
+
+
+def write_artifact(table: Table, json_path: str | None, rows: list[dict], **meta) -> None:
+    """Save a sweep's raw rows as ``BENCH_*.json`` and note where on ``table``.
+
+    The payload is ``{"experiment": table.experiment_id, **meta, "rows":
+    rows}`` — the shape ``bench compare`` and ``bench trend`` read.  A falsy
+    ``json_path`` writes nothing.
+    """
+    if not json_path:
+        return
+    directory = os.path.dirname(json_path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    payload = {"experiment": table.experiment_id, **meta, "rows": rows}
+    with open(json_path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+    table.add_note(f"raw data saved to {json_path}")
 
 
 def _format(cell) -> str:

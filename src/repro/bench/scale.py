@@ -5,6 +5,8 @@ sweep deploys the same middleware over hundreds to thousands of nodes on
 different topology generators, runs the Section 5 fire-detector flood (clone
 to every neighbor, gossip repair, periodic sensing) on top of the regular
 beacon traffic, and reports wall time, simulated events/sec, and frames/sec.
+Each cell is the ``flood`` scenario over a generated topology spec, run
+through ``repro.run`` like every other scenario.
 It exists to keep the radio channel honest: delivery and carrier sense are
 O(degree) via the cached in-range index, so events/sec should hold roughly
 steady as the deployment grows instead of collapsing O(N²).
@@ -16,21 +18,8 @@ collision domain, which is physics, not a benchmark.
 
 from __future__ import annotations
 
-import json
-import os
-import time
-
-from repro.apps import firedetector
-from repro.bench.reporting import Table, peak_rss_kb
-from repro.network import SensorNetwork
-from repro.scenarios.workloads import count_tagged, hub_of
-from repro.topology import (
-    ClusteredTopology,
-    GridTopology,
-    LineTopology,
-    RandomUniformTopology,
-    Topology,
-)
+from repro.api import run
+from repro.bench.reporting import Table, peak_rss_kb, write_artifact
 
 DEFAULT_NODE_COUNTS = (25, 100, 400)
 DEFAULT_TOPOLOGIES = ("grid", "random", "clustered")
@@ -66,20 +55,24 @@ def _grid_dims(count: int) -> tuple[int, int]:
     return (width, height)
 
 
-def make_topology(kind: str, count: int, seed: int) -> Topology:
-    """A topology of the requested kind with ``count`` nodes, or as close as
-    the generator's shape allows; the sweep reports the actual node count."""
+def topology_spec(kind: str, count: int, seed: int) -> dict:
+    """A topology spec of the requested kind with ``count`` nodes, or as close
+    as the generator's shape allows; the sweep reports the actual node count."""
     if kind in ("grid", "dense"):
-        return GridTopology(*_grid_dims(count))
+        width, height = _grid_dims(count)
+        return {"kind": "grid", "width": width, "height": height}
     if kind == "line":
-        return LineTopology(count)
+        return {"kind": "line", "length": count}
     if kind == "random":
-        return RandomUniformTopology(count=count, seed=seed)
+        return {"kind": "random", "count": count, "seed": seed}
     if kind == "clustered":
         clusters = max(1, round(count / 25))
-        return ClusteredTopology(
-            clusters=clusters, cluster_size=max(1, count // clusters), seed=seed
-        )
+        return {
+            "kind": "clustered",
+            "clusters": clusters,
+            "cluster_size": max(1, count // clusters),
+            "seed": seed,
+        }
     raise ValueError(
         f"unknown topology kind for the scale sweep: {kind!r} "
         f"(expected one of {', '.join(TOPOLOGY_KINDS)})"
@@ -89,45 +82,25 @@ def make_topology(kind: str, count: int, seed: int) -> Topology:
 def run_one(
     kind: str, count: int, seed: int = 0, duration_s: float = DEFAULT_DURATION_S
 ) -> dict:
-    """Deploy, flood detectors from the gateway, run, and measure."""
-    topology = make_topology(kind, count, seed)
-    started = time.perf_counter()
-    net = SensorNetwork(
-        topology,
-        seed=seed,
-        base_station=False,
-        spacing_m=_SPACING_M.get(kind, 60.0),
+    """One cell: the flood scenario over a ``kind`` field of ``count`` nodes.
+
+    The flood starts at the best-connected node (the workload's hub): a
+    corner gateway on a sparse random field can starve the clone wave and
+    measure silence instead of load.
+    """
+    result = run(
+        {
+            "name": f"scale-{kind}-{count}",
+            "topology": topology_spec(kind, count, seed),
+            "workload": {"kind": "flood"},
+            "duration_s": duration_s,
+            "seed": seed,
+            "spacing_m": _SPACING_M[kind],
+        }
     )
-    build_s = time.perf_counter() - started
-    # Seed the flood at the best-connected node: a corner gateway on a sparse
-    # random field can starve the clone wave and measure silence instead of
-    # load.  Deterministic tie-break by coordinates (shared with the scenario
-    # sweep's flood workload, so coverage numbers stay comparable).
-    net.inject(firedetector(period_ticks=40), at=hub_of(topology))
-    started = time.perf_counter()
-    net.run(duration_s)
-    wall_s = time.perf_counter() - started
-    return {
-        "topology": kind,
-        "nodes": len(topology),
-        "sim_s": duration_s,
-        "build_s": round(build_s, 4),
-        "wall_s": round(wall_s, 4),
-        "events": net.sim.events_fired,
-        "events_per_s": round(net.sim.events_fired / wall_s) if wall_s > 0 else 0,
-        #: Simulated seconds per wall second — the throughput number that
-        #: stays comparable across changes to what counts as "an event"
-        #: (PR 5's run-slice engine fires O(slices), not O(instructions)).
-        "sim_x_real": round(duration_s / wall_s, 1) if wall_s > 0 else 0,
-        "frames": net.radio_messages(),
-        "frames_per_s": round(net.radio_messages() / wall_s, 1) if wall_s > 0 else 0,
-        "coverage": count_tagged(net, "fdt"),
-        "collisions": net.channel.collisions,
-        "mac_giveups": net.channel.mac_giveups,
-        #: Process-wide high-water mark at row end (monotonic within a sweep):
-        #: a footprint blow-up at any node count is visible in its row.
-        "peak_rss_kb": peak_rss_kb(),
-    }
+    # peak_rss_kb is the process-wide high-water mark at row end (monotonic
+    # within a sweep): a footprint blow-up at any node count shows in its row.
+    return {"topology": kind, **result.as_row(), "peak_rss_kb": peak_rss_kb()}
 
 
 def run_scale(
@@ -180,17 +153,5 @@ def run_scale(
         table.add_note(
             "generator shape forced node counts: " + ", ".join(shortfalls)
         )
-    if json_path:
-        payload = {
-            "experiment": "scale",
-            "seed": seed,
-            "duration_s": duration_s,
-            "rows": rows,
-        }
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        table.add_note(f"raw data saved to {json_path}")
+    write_artifact(table, json_path, rows, seed=seed, duration_s=duration_s)
     return table

@@ -12,24 +12,17 @@ any regression to invalidate-on-move shows up here immediately.
 
 from __future__ import annotations
 
-import json
-import os
-
-from repro.bench.reporting import Table, peak_rss_kb
-from repro.scenarios import BUILTIN_SCENARIOS, DEFAULT_SCENARIOS, Scenario
+from repro.api import run
+from repro.bench.reporting import Table, peak_rss_kb, write_artifact
+from repro.scenarios import BUILTIN_SCENARIOS, DEFAULT_SCENARIOS
 
 
 def run_one(spec: dict | str, seed: int | None = None, duration_s: float | None = None) -> dict:
     """Run a single scenario spec (dict or builtin name), with overrides."""
-    scenario = Scenario.from_spec(spec)
-    if seed is not None:
-        scenario.seed = seed
-    if duration_s is not None:
-        scenario.duration_s = duration_s
-    result = scenario.run()
+    row = run(spec, seed=seed, duration_s=duration_s).as_row()
     # Process-wide high-water mark at row end (monotonic within a sweep).
-    result["peak_rss_kb"] = peak_rss_kb()
-    return result
+    row["peak_rss_kb"] = peak_rss_kb()
+    return row
 
 
 def run_scenarios(
@@ -91,17 +84,5 @@ def run_scenarios(
     table.add_note(
         "builtins: " + ", ".join(sorted(BUILTIN_SCENARIOS))
     )
-    if json_path:
-        payload = {
-            "experiment": "scenarios",
-            "seed": seed,
-            "duration_s": duration_s,
-            "rows": rows,
-        }
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        table.add_note(f"raw data saved to {json_path}")
+    write_artifact(table, json_path, rows, seed=seed, duration_s=duration_s)
     return table

@@ -8,7 +8,7 @@ during the short measured window.
 
 Each node count runs once unsharded (``workers=1`` — the classic
 single-process path, the speedup baseline) and once per requested worker
-count through :class:`~repro.shard.runner.ShardedRunner` in process mode.
+count, sharded in process mode; every cell goes through ``repro.run``.
 ``speedup`` is single-process wall time over the sharded run's wall time.
 
 Honesty note: wall-clock speedup requires physical cores.  Every row
@@ -19,13 +19,10 @@ or below 1× — the committed artifact says so rather than pretending.
 
 from __future__ import annotations
 
-import json
-import os
-import time
-
-from repro.bench.reporting import Table, peak_rss_kb
+from repro.api import run
+from repro.bench.reporting import Table, peak_rss_kb, write_artifact
 from repro.scenarios.spec import Scenario
-from repro.shard.runner import ShardedRunner, cpu_count
+from repro.shard.runner import cpu_count
 
 DEFAULT_NODE_COUNTS = (2_500, 10_000)
 DEFAULT_WORKERS = (1, 2, 4)
@@ -63,31 +60,13 @@ def shard_scenario(nodes: int, seed: int = 0, duration_s: float = DEFAULT_SHARD_
 
 def run_cell(nodes: int, workers: int, seed: int, duration_s: float) -> dict:
     """One (nodes, workers) cell.  ``workers=1`` is the unsharded baseline."""
-    scenario = shard_scenario(nodes, seed=seed, duration_s=duration_s)
-    if workers <= 1:
-        started = time.perf_counter()
-        row = scenario.build().run()
-        wall_s = time.perf_counter() - started
-        return {
-            "case": f"n{row['nodes']}-w1",
-            "nodes": row["nodes"],
-            "workers": 1,
-            "cpus": cpu_count(),
-            "sim_s": duration_s,
-            "build_s": row["build_s"],
-            "wall_s": round(wall_s, 4),
-            "events": row["events"],
-            "events_per_s": round(row["events"] / wall_s) if wall_s > 0 else 0,
-            "sim_x_real": round(duration_s / wall_s, 1) if wall_s > 0 else 0,
-            "frames": row["frames"],
-            "coverage": row["coverage"],
-            "rounds": 0,
-            "ghosts": 0,
-            "peak_rss_kb": peak_rss_kb(),
-        }
-    result = ShardedRunner(scenario, shards=workers).run()
+    result = run(shard_scenario(nodes, seed=seed, duration_s=duration_s), shards=workers)
     counters, timings = result.counters, result.timings
     wall_s = timings["wall_s"]
+    if result.shards == 1:
+        # A sharded wall includes the workers' builds: charge the baseline
+        # its build too, so speedup compares like with like.
+        wall_s = round(timings["build_s"] + wall_s, 4)
     return {
         "case": f"n{counters['nodes']}-w{workers}",
         "nodes": counters["nodes"],
@@ -97,12 +76,13 @@ def run_cell(nodes: int, workers: int, seed: int, duration_s: float) -> dict:
         "build_s": timings["build_s"],
         "wall_s": wall_s,
         "events": counters["events"],
-        "events_per_s": timings["events_per_s"],
-        "sim_x_real": timings["sim_x_real"],
+        "events_per_s": round(counters["events"] / wall_s) if wall_s > 0 else 0,
+        "sim_x_real": round(duration_s / wall_s, 1) if wall_s > 0 else 0,
         "frames": counters["frames"],
         "coverage": counters.get("coverage", 0),
         "rounds": counters.get("rounds", 0),
         "ghosts": counters.get("ghosts", 0),
+        "peak_rss_kb": peak_rss_kb(),
     }
 
 
@@ -163,18 +143,7 @@ def run_shard_bench(
         f"wall over sharded wall at the same node count; measured on {cpu_count()} "
         "usable core(s) — near-linear speedup needs >= workers physical cores"
     )
-    if json_path:
-        payload = {
-            "experiment": "shard",
-            "seed": seed,
-            "duration_s": duration_s,
-            "cpus": cpu_count(),
-            "rows": rows,
-        }
-        directory = os.path.dirname(json_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        table.add_note(f"raw data saved to {json_path}")
+    write_artifact(
+        table, json_path, rows, seed=seed, duration_s=duration_s, cpus=cpu_count()
+    )
     return table

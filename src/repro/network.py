@@ -1,17 +1,16 @@
 """Network builder: deploy the Agilla middleware over any topology.
 
-:class:`SensorNetwork` (alias :class:`Deployment`) wires a
-:class:`~repro.topology.Topology` — node ids, locations, physical positions,
-and neighbor sets — to the simulator, radio channel, per-node network stacks,
-and middleware.  Multi-hop structure is synthesized the way the paper did it
-(§4): every mote shares one channel and a receive-side
-:class:`~repro.net.filters.NeighborSetFilter` drops frames from non-neighbors.
+:class:`SensorNetwork` wires a :class:`~repro.topology.Topology` — node ids,
+locations, physical positions, and neighbor sets — to the simulator, radio
+channel, per-node network stacks, and middleware.  Multi-hop structure is
+synthesized the way the paper did it (§4): every mote shares one channel and
+a receive-side :class:`~repro.net.filters.NeighborSetFilter` drops frames
+from non-neighbors.
 
-:class:`GridNetwork` is the backward-compatible specialization reproducing the
-experimental setup of §4: a 5×5 grid of MICA2 motes (lower-left at (1,1)) plus
-a base station at (0,0) bridged to mote (1,1) from which agents are injected
-(Figure 8 injects into node (0,0); five hops along the bottom row reaches
-(5,1)).
+The experimental setup of §4 is ``SensorNetwork(GridTopology(5, 5))``: a 5×5
+grid of MICA2 motes (lower-left at (1,1)) plus a base station at (0,0)
+bridged to mote (1,1) from which agents are injected (Figure 8 injects into
+node (0,0); five hops along the bottom row reaches (5,1)).
 
 An optional *physical* mode spaces the motes out for real and drops the
 filter — an extension for studying the same protocols over distance-dependent
@@ -20,7 +19,6 @@ links.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -41,7 +39,7 @@ from repro.radio.channel import Channel
 from repro.radio.linkmodels import DistancePrrLinks, LinkModel, UniformLossLinks
 from repro.sim.kernel import Simulator
 from repro.sim.units import ms, seconds
-from repro.topology import GridTopology, Topology
+from repro.topology import Topology
 
 #: Default physical spacing: tabletop centimeters (filtered mode) vs. really
 #: spread out (physical mode).
@@ -450,69 +448,6 @@ class SensorNetwork:
     def quiescent(self) -> bool:
         """No resident agents and no agents in flight anywhere."""
         return self.total_agents() == 0 and not self.migrations_in_flight()
-
-
-#: Deployment is the topology-neutral name; SensorNetwork reads better in
-#: WSN-flavored code.  They are the same class.
-Deployment = SensorNetwork
-
-
-class GridNetwork(SensorNetwork):
-    """Deprecated: the paper's testbed in one call — a W×H grid + base station.
-
-    Kept signature-compatible with the original grid-only builder; everything
-    now flows through :class:`SensorNetwork` over a :class:`GridTopology`,
-    which is also the supported spelling::
-
-        SensorNetwork(GridTopology(width, height), seed=...)
-
-    Constructing one emits a :class:`DeprecationWarning`; the class will be
-    removed once nothing in the wild constructs it.
-    """
-
-    def __init__(
-        self,
-        width: int = 5,
-        height: int = 5,
-        seed: int = 0,
-        link_model: LinkModel | None = None,
-        params: AgillaParams | None = None,
-        environment: Environment | None = None,
-        base_station: bool = True,
-        beacons: bool = True,
-        beacon_period: int = seconds(10.0),
-        physical: bool = False,
-        physical_spacing_m: float = PHYSICAL_SPACING_M,
-        adaptive: bool = False,
-        beacon_expiry_intervals: int = DEFAULT_EXPIRY_INTERVALS,
-    ):
-        warnings.warn(
-            "GridNetwork is deprecated; use "
-            "SensorNetwork(GridTopology(width, height), ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.width = width
-        self.height = height
-        super().__init__(
-            GridTopology(width, height),
-            seed=seed,
-            link_model=link_model,
-            params=params,
-            environment=environment,
-            base_station=base_station,
-            beacons=beacons,
-            beacon_period=beacon_period,
-            physical=physical,
-            spacing_m=physical_spacing_m if physical else None,
-            adaptive=adaptive,
-            beacon_expiry_intervals=beacon_expiry_intervals,
-        )
-
-
-def build_grid_network(**kwargs) -> GridNetwork:
-    """Convenience alias mirroring the README quickstart."""
-    return GridNetwork(**kwargs)
 
 
 def build_network(topology: Topology | dict | str, **kwargs) -> SensorNetwork:

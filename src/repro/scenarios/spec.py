@@ -14,8 +14,10 @@ A :class:`Scenario` composes everything a dynamic-deployment experiment needs
 
 ``Scenario.from_spec`` accepts a dict, a JSON file path, or a built-in name
 from :data:`repro.scenarios.library.BUILTIN_SCENARIOS`.  :meth:`Scenario.build`
-deploys it; :meth:`Scenario.run` also drives the clock and returns a flat
-metrics dict (the bench sweep's row format).
+deploys it and :meth:`ScenarioRun.run` drives the clock, returning a flat
+metrics dict.  ``repro.run`` is the one way to run a scenario end to end,
+single-process or sharded; ``build`` is for callers that read the live
+network.
 
 A scenario with no ``dynamics`` section schedules nothing extra, so static
 scenarios reproduce plain :class:`~repro.network.SensorNetwork` runs
@@ -140,6 +142,14 @@ class Scenario:
     #: and leaves the run bit-identical to a scenario without the key.
     faults: dict | None = None
 
+    def __post_init__(self):
+        # Every way to make a scenario (direct, ``from_spec``, and the
+        # ``dataclasses.replace`` behind ``repro.run``'s overrides) lands here.
+        if self.shards < 1:
+            raise NetworkError(f"shards must be >= 1, got {self.shards}")
+        if self.duration_s < 0:
+            raise NetworkError(f"duration_s must be >= 0, got {self.duration_s}")
+
     @classmethod
     def from_spec(cls, spec: dict | str | Path) -> "Scenario":
         """Build from a dict, a JSON file path, or a built-in scenario name."""
@@ -212,18 +222,6 @@ class Scenario:
             invalidations_at_build=net.channel.full_invalidations,
             injector=injector,
         )
-
-    def run(self) -> dict:
-        """Build and drive in one call; returns the flat metrics dict.
-
-        With ``shards > 1`` the run is delegated to the sharded runtime and
-        the aggregated counters come back in the same flat-row shape.
-        """
-        if self.shards > 1:
-            from repro.shard.runner import ShardedRunner
-
-            return ShardedRunner(self).run().as_row()
-        return self.build().run()
 
     def to_spec(self) -> dict:
         """The plain-dict form (JSON-serializable round trip)."""

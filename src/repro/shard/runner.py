@@ -45,6 +45,7 @@ its mirrors stay implicitly correct.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal as signal_module
@@ -333,6 +334,7 @@ class _Supervisor:
                 if handle.conn is not None:
                     handle.conn.close()
                     handle.conn = None
+            gc.unfreeze()
 
     # ------------------------------------------------------------------
     def _spawn(self, index, incarnation, replay, suppress) -> _WorkerHandle:
@@ -345,6 +347,12 @@ class _Supervisor:
                   replay, suppress),
             name=f"shard-{index}{suffix}",
         )
+        # Fork with the heap frozen until the run ends: no collection, in a
+        # worker or in this process, then walks the pages they share.  A
+        # full pass over a large caller's heap copies every one of them and
+        # can stall a worker, or the supervisor that routes its rounds, for
+        # longer than the hang deadline.
+        gc.freeze()
         process.start()
         child_conn.close()
         return _WorkerHandle(index, process, parent_conn, incarnation)
@@ -487,7 +495,6 @@ class ShardedRunner:
         self,
         scenario: Scenario | dict | str,
         *,
-        shards: int | None = None,
         mode: str = "process",
         hang_timeout_s: float = 60.0,
         max_restarts: int = 2,
@@ -499,7 +506,7 @@ class ShardedRunner:
             raise NetworkError(f"unknown shard mode {mode!r}")
         self.scenario = scenario
         self.mode = mode
-        self.shards = scenario.shards if shards is None else shards
+        self.shards = scenario.shards
         if self.shards < 1:
             raise NetworkError(f"shards must be >= 1, got {self.shards}")
         if hang_timeout_s <= 0:

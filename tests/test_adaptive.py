@@ -11,6 +11,7 @@ need it.
 
 import pytest
 
+import repro
 from repro.apps import MONITOR_TAG, steward
 from repro.agilla.fields import FieldType, StringField, TypeWildcard
 from repro.agilla.tuples import make_template
@@ -768,9 +769,8 @@ class TestPartitionHealScenario:
         mobility, same churn — only the neighborhood subsystem differs."""
         results = {}
         for name in ("partition-heal", "partition-heal-frozen"):
-            scenario = Scenario.from_spec(name)
-            scenario.duration_s = 40.0  # the first mobility excursions
-            results[name] = scenario.run()
+            # 40 s covers the first mobility excursions.
+            results[name] = repro.run(name, duration_s=40.0).as_row()
         healed = results["partition-heal"]
         frozen = results["partition-heal-frozen"]
         assert healed["geo_sent"] == frozen["geo_sent"]  # same offered load

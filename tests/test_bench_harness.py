@@ -5,7 +5,7 @@ import pytest
 from repro.bench import figures, memory_report
 from repro.bench.ablations import run_ablation_code_blocks
 from repro.bench.cli import main
-from repro.bench.reporting import Table, mean, median
+from repro.bench.reporting import Table, mean, median, write_artifact
 
 
 class TestReporting:
@@ -26,7 +26,22 @@ class TestReporting:
         table = Table("tst", "demo", ["a"])
         table.add_row(1)
         path = table.save(str(tmp_path))
-        assert open(path).read().startswith("== tst")
+        with open(path) as handle:
+            assert handle.read().startswith("== tst")
+
+    def test_write_artifact(self, tmp_path):
+        import json
+
+        table = Table("tst", "demo", ["a"])
+        rows = [{"case": "x", "events_per_s": 1}]
+        write_artifact(table, None, rows, seed=0)
+        assert table.notes == [] and list(tmp_path.iterdir()) == []
+        path = tmp_path / "nested" / "out" / "BENCH_tst.json"
+        write_artifact(table, str(path), rows, seed=3, duration_s=2.0)
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["experiment", "seed", "duration_s", "rows"]
+        assert payload["experiment"] == "tst" and payload["rows"] == rows
+        assert table.notes == [f"raw data saved to {path}"]
 
     def test_median_and_mean(self):
         assert median([]) == 0.0
@@ -139,7 +154,8 @@ class TestKernelBench:
 
         json_path = str(tmp_path / "BENCH_kernel.json")
         table = run_kernel_bench(json_path=json_path)
-        rows = {row["case"]: row for row in json.loads(open(json_path).read())["rows"]}
+        with open(json_path) as handle:
+            rows = {row["case"]: row for row in json.load(handle)["rows"]}
         assert rows["periodic-chains"]["handle_reuses"] > 0
         assert rows["timer-churn"]["compactions"] > 0
         assert rows["cancel-heavy"]["compactions"] > 0

@@ -17,12 +17,13 @@ from repro.agilla.assembler import assemble
 from repro.agilla.isa import BY_NAME, NOW_PURE_OPCODES
 from repro.agilla.params import AgillaParams
 from repro.agilla.tracer import Tracer
-from repro.network import GridNetwork
+from repro.network import SensorNetwork
+from repro.topology import GridTopology
 
 
-def _one_node(params: AgillaParams | None = None) -> GridNetwork:
-    return GridNetwork(
-        width=1, height=1, base_station=False, beacons=False, seed=0, params=params
+def _one_node(params: AgillaParams | None = None) -> SensorNetwork:
+    return SensorNetwork(
+        GridTopology(1, 1), base_station=False, beacons=False, seed=0, params=params
     )
 
 

@@ -9,7 +9,8 @@ import pytest
 from repro.agilla.agent import AgentState
 from repro.agilla.assembler import assemble
 from repro.location import Location
-from repro.network import GridNetwork
+from repro.network import SensorNetwork
+from repro.topology import GridTopology
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -65,11 +66,10 @@ class TestPhysicalTopology:
     """Extension mode: real distances and distance-dependent loss, no filter."""
 
     def _net(self, **kwargs):
-        return GridNetwork(
-            width=4,
-            height=1,
+        return SensorNetwork(
+            GridTopology(4, 1),
             physical=True,
-            physical_spacing_m=35.0,
+            spacing_m=35.0,
             base_station=False,
             seed=3,
             **kwargs,

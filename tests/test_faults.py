@@ -172,7 +172,7 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# node-level fault semantics (driven directly over a GridNetwork)
+# node-level fault semantics (driven directly over a grid SensorNetwork)
 
 
 class TestLinkFaults:

@@ -1,12 +1,13 @@
-"""Tests for the GridNetwork builder and the memory-footprint claims."""
+"""Tests for the grid deployment builder and the memory-footprint claims."""
 
 import pytest
 
 from repro.agilla.assembler import assemble
 from repro.location import BASE_STATION_LOCATION, Location
 from repro.mote.memory import MICA2_RAM_BYTES
-from repro.network import GridNetwork
+from repro.network import SensorNetwork
 from repro.radio.linkmodels import PerfectLinks
+from repro.topology import GridTopology
 
 from tests.util import grid
 
@@ -47,7 +48,7 @@ class TestTopology:
         assert stack_far.dropped_by_filter >= 1
 
     def test_physical_mode_skips_filter(self):
-        net = GridNetwork(width=3, height=1, physical=True, base_station=False)
+        net = SensorNetwork(GridTopology(3, 1), physical=True, base_station=False)
         assert net.node((1, 1)).stack._filters == []
 
 
@@ -102,7 +103,7 @@ class TestHelpers:
 
     def test_seed_reproducibility(self):
         def run(seed):
-            net = GridNetwork(width=3, height=3, seed=seed, base_station=True)
+            net = SensorNetwork(GridTopology(3, 3), seed=seed, base_station=True)
             agent = net.inject(
                 assemble("pushc 1\npushc 1\npushloc 3 3\nrout\nhalt", name="r")
             )
@@ -113,9 +114,8 @@ class TestHelpers:
         assert run(7) != run(8)
 
     def test_beaconing_network_discovers_without_priming(self):
-        net = GridNetwork(
-            width=2,
-            height=1,
+        net = SensorNetwork(
+            GridTopology(2, 1),
             base_station=False,
             link_model=PerfectLinks(),
             beacons=True,

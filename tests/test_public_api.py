@@ -1,4 +1,4 @@
-"""The public facade: pinned ``__all__``, run() parity, deprecations.
+"""The public facade: pinned ``__all__`` and the ``run()`` entry point.
 
 ``repro.__all__`` is the supported surface — this test pins it exactly so
 a rename or removal shows up as a deliberate diff here, not as a silent
@@ -11,6 +11,8 @@ import pytest
 
 import repro
 from repro.api import RunResult
+from repro.bench.perf import run_profile
+from repro.errors import NetworkError
 
 EXPECTED_ALL = [
     "Agent",
@@ -42,11 +44,8 @@ EXPECTED_ALL = [
     "LIGHT",
     "MAGNETOMETER",
     "TEMPERATURE",
-    "Deployment",
-    "GridNetwork",
     "Node",
     "SensorNetwork",
-    "build_grid_network",
     "build_network",
     "DeploymentDynamics",
     "DutyCycle",
@@ -83,33 +82,11 @@ def test_every_exported_name_resolves():
         assert getattr(repro, name, None) is not None, name
 
 
-def test_grid_network_is_deprecated_but_equivalent():
-    with pytest.warns(DeprecationWarning, match="SensorNetwork"):
-        old = repro.GridNetwork(3, 3, seed=5)
-    new = repro.SensorNetwork(repro.GridTopology(3, 3), seed=5)
-    old.run(12.0)  # past the first beacon round so the radio actually keys
-    new.run(12.0)
-    assert old.radio_messages() == new.radio_messages()
-    assert old.radio_bytes() == new.radio_bytes()
-    assert old.channel.collisions == new.channel.collisions
-
-
-def test_run_matches_legacy_scenario_path_bit_for_bit():
-    result = repro.run("static-flood", seed=3, duration_s=5.0)
-    assert isinstance(result, RunResult)
-    import dataclasses
-
-    legacy = dataclasses.replace(
-        repro.Scenario.from_spec("static-flood"), seed=3, duration_s=5.0
-    ).run()
-    for key, value in result.counters.items():
-        assert legacy[key] == value, key
-    # timings are wall-clock and intentionally kept out of counters
-    assert "wall_s" in result.timings and "wall_s" not in result.counters
-
-
 def test_run_result_as_row():
     result = repro.run("static-flood", seed=1, duration_s=3.0)
+    assert isinstance(result, RunResult)
+    # timings are wall-clock and intentionally kept out of counters
+    assert "wall_s" in result.timings and "wall_s" not in result.counters
     row = result.as_row()
     assert set(row) == set(result.counters) | set(result.timings)
     assert result["nodes"] == result.counters["nodes"]
@@ -130,3 +107,24 @@ def test_run_sharded_entry_point():
     assert result.mode == "process"
     assert result.shards == 2
     assert len(result.per_shard) == 2
+
+
+@pytest.mark.parametrize(
+    "attempt",
+    [
+        lambda: repro.run("static-flood", shards=0),
+        lambda: repro.run("static-flood", shards=-2),
+        lambda: repro.run({"topology": {"kind": "grid", "width": 2, "height": 2}, "shards": 0}),
+        lambda: repro.run("static-flood", duration_s=-5.0),
+        lambda: repro.run("sharded-ribbon", duration_s=-1.0),
+        lambda: repro.Scenario(shards=0),
+        lambda: run_profile("static-flood", duration_s=-1.0, out_dir=None),
+    ],
+    ids=[
+        "shards-0", "shards-neg", "spec-shards-0", "neg-duration", "sharded-neg-duration",
+        "direct", "profile-neg-duration",
+    ],
+)
+def test_bad_run_parameters_are_rejected_up_front(attempt):
+    with pytest.raises(NetworkError, match="must be >= "):
+        attempt()

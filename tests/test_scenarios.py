@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro
 from repro.bench import scenarios as bench_scenarios
 from repro.bench.cli import main as bench_main
 from repro.errors import NetworkError
@@ -106,11 +107,11 @@ class TestStaticParity:
     def test_static_scenario_matches_scale_run_one(self):
         from repro.bench import scale
 
-        direct = scale.run_one("grid", 25, seed=0, duration_s=20.0)
-        via_scenario = Scenario.from_spec(self.PARITY_SPEC).run()
-        assert via_scenario["events"] == direct["events"]
-        assert via_scenario["frames"] == direct["frames"]
-        assert via_scenario["coverage"] == direct["coverage"]
+        row = scale.run_one("grid", 25, seed=0, duration_s=20.0)
+        assert (row["topology"], row["nodes"]) == ("grid", 25)
+        assert row["events"] == self.GOLDEN_EVENTS
+        assert row["frames"] == self.GOLDEN_FRAMES
+        assert row["coverage"] == self.GOLDEN_COVERAGE
 
     def test_static_scenario_matches_golden_counters(self):
         run = Scenario.from_spec(self.PARITY_SPEC).build()
@@ -149,15 +150,15 @@ class TestStaticParity:
                 assert acquaintances.timeout == expiry_intervals * node.beacons.period
 
     def test_dynamic_scenario_differs_from_static(self):
-        static = Scenario.from_spec(mini("s", "flood", duration_s=10.0)).run()
-        mobile = Scenario.from_spec(
+        static = repro.run(mini("s", "flood", duration_s=10.0)).as_row()
+        mobile = repro.run(
             mini(
                 "m",
                 "flood",
                 {"mobility": {"model": "random_waypoint", "speed": [2.0, 5.0]}},
                 duration_s=10.0,
             )
-        ).run()
+        ).as_row()
         assert mobile["moves"] > 0
         assert (static["events"], static["frames"]) != (mobile["events"], mobile["frames"])
 
@@ -173,28 +174,28 @@ class TestWorkloads:
         assert result["samplers_alive"] > 0
 
     def test_habitat_monitors_every_node(self):
-        result = Scenario.from_spec(mini("h", {"kind": "habitat"}, duration_s=5.0)).run()
+        result = repro.run(mini("h", {"kind": "habitat"}, duration_s=5.0)).as_row()
         assert result["monitors_alive"] == 16
         assert result["coverage"] > 0
 
     def test_mixed_tenant_shares_the_network(self):
-        result = Scenario.from_spec(
+        result = repro.run(
             mini("mx", {"kind": "mixed", "ignite_s": 10.0}, duration_s=30.0)
-        ).run()
+        ).as_row()
         assert result["monitors_alive"] + result["monitors_freed"] == 16
         assert result["coverage"] > 0  # the detector flood spread
         assert result["habitat_samples"] > 0
         assert result["fire_alerts"] > 0  # the fire was noticed
 
     def test_churny_habitat_keeps_running(self):
-        result = Scenario.from_spec(
+        result = repro.run(
             mini(
                 "ch",
                 {"kind": "habitat"},
                 {"churn": {"model": "lifetimes", "mtbf_s": 5.0, "mttr_s": 2.0}},
                 duration_s=20.0,
             )
-        ).run()
+        ).as_row()
         assert result["fails"] > 0
         assert result["coverage"] > 0
 

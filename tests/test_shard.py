@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run
 from repro.errors import NetworkError
 from repro.scenarios.spec import Scenario
 from repro.shard import ShardedRunner, partition_topology
 from repro.shard.partition import PartitionError
+from repro.shard.worker import ShardWorker
 from repro.topology import ClusteredTopology, GridTopology
 
 SEAM_SPEC = {
@@ -108,11 +110,27 @@ def test_sharded_run_is_stable_run_to_run():
     assert _counters(first) == _counters(second)
 
 
+def test_forked_run_keeps_the_shared_heap_out_of_collections(monkeypatch):
+    """Workers fork with the heap frozen, and it thaws when the run ends: a
+    collection that walked the pages a worker shares with the supervisor
+    would copy them all, stalling either side past a 0.3 s hang deadline
+    when the caller's heap is large (a full test session's is)."""
+    import gc
+
+    stats = ShardWorker.stats
+    monkeypatch.setattr(
+        ShardWorker, "stats", lambda worker: dict(stats(worker), frozen=gc.get_freeze_count())
+    )
+    result = ShardedRunner(Scenario.from_spec(SEAM_SPEC)).run()
+    assert all(shard["frozen"] > 0 for shard in result.per_shard)
+    assert gc.get_freeze_count() == 0
+
+
 def test_scenario_run_delegates_to_sharded_runner():
-    row = Scenario.from_spec(SEAM_SPEC).run()
+    via_run = run(SEAM_SPEC)
     direct = ShardedRunner(Scenario.from_spec(SEAM_SPEC)).run()
-    for key, value in _counters(direct).items():
-        assert row[key] == value
+    assert via_run.mode == "process" and via_run.shards == 2
+    assert _counters(via_run) == _counters(direct)
 
 
 # ---------------------------------------------------------------------------
