@@ -14,10 +14,13 @@ drives it: instead of posting one kernel event per instruction (two, counting
 the completion callback), the engine executes a bounded **run-slice** — up to
 ``slice_length`` instructions, the §3.2 context-switch quantum — inside a
 single kernel event while the outcome stays :attr:`Outcome.CONTINUE`.  The
-CPU is charged per instruction through :meth:`Cpu.charge` with the exact
-per-step rounding the per-instruction engine used, so the busy horizon (and
-hence every downstream event time) is bit-identical; agent-heavy scenarios
-just post O(slices) instead of O(instructions) kernel events.  Instructions
+CPU is charged per instruction through :meth:`Cpu.charge`, the one rounding
+an instruction pays; the inter-instruction hop then adds its microseconds,
+rounded once per engine, to a horizon that charge has already put past
+``now``.  That is the per-step rounding the per-instruction engine used, so
+the busy horizon (and hence every downstream event time) is bit-identical;
+agent-heavy scenarios just post O(slices) instead of O(instructions) kernel
+events.  Instructions
 whose handlers observe the clock or the environment
 (:data:`~repro.agilla.isa.NOW_PURE_OPCODES` excludes them) never run
 mid-batch: the slice is suspended and resumed in a fresh event at the exact
@@ -25,13 +28,18 @@ tick the old engine would have dispatched them.  ``yield``-class outcomes
 (``YIELD``/``SLEEP``/``WAIT``/``BLOCKED_TS``/...) end the slice exactly as
 before.
 
-The engine does not decode bytecode itself.
-:meth:`~repro.agilla.instruction_manager.InstructionManager.fetch` returns
-each instruction already decoded: its definition, operand bytes, length,
-issue cycles (block-crossing charge included), handler and whether it may
-run mid-batch.  Decoding happens once per program and PC, in a table that
-every mote of the network running that program shares, so what is left
-here for each instruction is the handler call and the CPU charge.
+The engine does not decode bytecode itself.  Each instruction comes
+already decoded: its definition, operand bytes, length, issue cycles
+(block-crossing charge included), handler and whether it may run mid-batch.
+Decoding happens once per program and PC, in a table that every mote of the
+network running that program shares.  A slice binds the running agent's
+table once
+(:meth:`~repro.agilla.instruction_manager.InstructionManager.decoded_table`)
+and calls :meth:`~repro.agilla.instruction_manager.InstructionManager.fetch`
+only on a miss: a first decode or a trap.  A ``CONTINUE`` outcome is applied
+inline; only the other outcomes go through :meth:`AgillaEngine._apply_outcome`.
+What is left here for each instruction is the handler call and one CPU
+charge.
 """
 
 from __future__ import annotations
@@ -56,6 +64,11 @@ DISPATCH_CYCLES = 90
 #: the per-instruction task posts it replaced.
 _HOP_CYCLES = DISPATCH_CYCLES + TaskQueue.DISPATCH_CYCLES
 
+# Read once per instruction: an Enum class attribute lookup costs ~0.2 µs,
+# a module global a tenth of that.
+_CONTINUE = Outcome.CONTINUE
+_DEAD = AgentState.DEAD
+
 
 class AgillaEngine:
     """Round-robin scheduler and bytecode interpreter for one node."""
@@ -67,6 +80,8 @@ class AgillaEngine:
         self._current: Agent | None = None
         self._slice_left = 0
         self._sleep_handles: dict[int, EventHandle] = {}
+        #: The hop's busy time, rounded once (see :meth:`_dispatch`).
+        self._hop_us = middleware.mote.cpu.cycles_to_us(_HOP_CYCLES)
         #: Optional instrumentation hook: ``fn(agent, idef, cycles)`` called
         #: for every executed instruction (used by the Figure 12 benchmark).
         self.on_instruction: Callable[[Agent, InstructionDef, int], None] | None = None
@@ -135,11 +150,14 @@ class AgillaEngine:
         """Run one slice (or resume a suspended one) in this kernel event.
 
         Instructions are executed back-to-back while the outcome stays
-        ``CONTINUE`` and the slice budget lasts; the CPU is charged per
-        instruction (work, then the inter-instruction hop) with the exact
-        rounding the per-instruction task posts used, so ``busy_until`` —
-        and with it every send, sleep, and timer downstream — lands on the
-        same microsecond.  A batched handler may observe a slightly stale
+        ``CONTINUE`` and the slice budget lasts.  Each costs its handler plus
+        one CPU charge: the instruction's cycles go through
+        :meth:`~repro.tinyos.tasks.Cpu.charge` (the one rounding), and the
+        inter-instruction hop adds its precomputed microseconds to a horizon
+        that charge has already put past ``now``.  That is the rounding the
+        per-instruction task posts used, so ``busy_until`` — and with it
+        every send, sleep, and timer downstream — lands on the same
+        microsecond.  A batched handler may observe a slightly stale
         ``sim.now``; handlers for which that is observable are excluded from
         :data:`~repro.agilla.isa.NOW_PURE_OPCODES` and make the slice
         suspend, resuming in a fresh event at the instruction's true tick
@@ -161,7 +179,12 @@ class AgillaEngine:
         middleware = self.middleware
         sim = middleware.mote.sim
         cpu = middleware.mote.cpu
-        fetch = middleware.instruction_manager.fetch
+        hop_us = self._hop_us
+        on_instruction = self.on_instruction
+        instruction_manager = middleware.instruction_manager
+        # The agent's code cannot change within a slice: it is freed only
+        # when the agent dies or leaves, and either ends the slice.
+        decoded = instruction_manager.decoded_table(agent.id)
         first = True
         while True:
             if agent.pending_reactions:
@@ -169,26 +192,27 @@ class AgillaEngine:
                     self._continue()  # trapped mid-vector: agent died, move on
                     return
 
-            try:
-                idef, operand, length, cycles, handler, now_pure = fetch(
-                    agent.id, agent.pc
-                )
-            except (AgentError, CodeMemoryError) as exc:
-                if not first:
-                    # A failed fetch mutates nothing (failed decodes are never
-                    # cached), so a mid-batch fetch trap is safely re-raised
-                    # as the *first* fetch of a fresh event at the
-                    # instruction's true tick — the death log then records
-                    # the same timestamp the per-instruction engine would
-                    # have.
-                    self.slice_suspensions += 1
-                    sim.schedule_at(cpu.busy_until, self._dispatch, benign=True)
+            instruction = decoded.get(agent.pc)
+            if instruction is None:
+                try:
+                    instruction = instruction_manager.fetch(agent.id, agent.pc)
+                except (AgentError, CodeMemoryError) as exc:
+                    if not first:
+                        # A failed fetch mutates nothing (failed decodes are
+                        # never cached), so a mid-batch fetch trap is safely
+                        # re-raised as the *first* fetch of a fresh event at
+                        # the instruction's true tick — the death log then
+                        # records the same timestamp the per-instruction
+                        # engine would have.
+                        self.slice_suspensions += 1
+                        sim.schedule_at(cpu.busy_until, self._dispatch, benign=True)
+                        return
+                    self._trap(agent, exc)
+                    self._continue()
                     return
-                self._trap(agent, exc)
-                self._continue()
-                return
+            idef, operand, length, cycles, handler, now_pure = instruction
 
-            if not first and (not now_pure or self.on_instruction is not None):
+            if not first and (not now_pure or on_instruction is not None):
                 # Time-sensitive handler mid-batch: suspend the slice (budget
                 # and current agent survive) and resume at the exact tick the
                 # per-instruction engine would have dispatched it.  The hop
@@ -199,9 +223,10 @@ class AgillaEngine:
 
             pc_before = agent.pc
             agent.pc = pc_before + length
-            context = ExecContext(agent, middleware, idef, operand, pc_before)
             try:
-                outcome, extra = handler(context)
+                outcome, extra = handler(
+                    ExecContext(agent, middleware, idef, operand, pc_before)
+                )
             except AgentError as exc:
                 self._trap(agent, exc)
                 self._continue()
@@ -210,13 +235,19 @@ class AgillaEngine:
             cycles += extra
             agent.instructions_executed += 1
             self.instructions_executed += 1
-            if self.on_instruction is not None:
-                self.on_instruction(agent, idef, cycles)
+            if on_instruction is not None:
+                on_instruction(agent, idef, cycles)
             # Apply the outcome first (so services observe the agent's new
             # state at the same point the per-instruction engine exposed it),
             # then charge the CPU for the instruction's cycles.
-            self._apply_outcome(agent, outcome, pc_before)
-            cpu.charge(cycles)
+            if outcome is _CONTINUE:
+                if agent.state is not _DEAD:
+                    self._slice_left -= 1
+                    if self._slice_left <= 0:
+                        self._rotate(agent, still_ready=True)
+            else:
+                self._apply_outcome(agent, outcome, pc_before)
+            finish = cpu.charge(cycles)
             # The interleaving guard: any *hazardous* kernel event due at or
             # before the moment the per-instruction engine's completion
             # callback would have fired (frame delivery, a task handler, a
@@ -226,25 +257,27 @@ class AgillaEngine:
             # scheduled here, with no hazardous event firing in between, so
             # the global scheduling order matches the two-step engine's.
             next_hazard = sim.next_hazard_time()
-            if next_hazard is not None and next_hazard <= cpu.busy_until:
+            if next_hazard is not None and next_hazard <= finish:
                 self.slice_suspensions += 1
-                sim.schedule_at(cpu.busy_until, self._continue, benign=True)
+                sim.schedule_at(finish, self._continue, benign=True)
                 return
-            if outcome is not Outcome.CONTINUE or self._current is not agent:
+            if outcome is not _CONTINUE or self._current is not agent:
                 # Parked, migrating, dead, or slice budget exhausted
-                # (_apply_outcome rotated the queue): this slice is over.
-                # Nothing hazardous fires before the boundary (guard above),
-                # so the completion event is fused away and the next dispatch
-                # is posted directly.
+                # (the queue rotated): this slice is over.  Nothing hazardous
+                # fires before the boundary (guard above), so the completion
+                # event is fused away and the next dispatch is posted
+                # directly.
                 self._continue()
                 return
             # Same agent, same slice: pay the inter-instruction hop, re-check
             # the guard against the next instruction's true dispatch tick,
             # and keep executing inside this kernel event.
-            cpu.charge(_HOP_CYCLES)
-            if next_hazard is not None and next_hazard <= cpu.busy_until:
+            finish += hop_us
+            cpu.busy_until = finish
+            cpu.cycles_executed += _HOP_CYCLES
+            if next_hazard is not None and next_hazard <= finish:
                 self.slice_suspensions += 1
-                sim.schedule_at(cpu.busy_until, self._dispatch, benign=True)
+                sim.schedule_at(finish, self._dispatch, benign=True)
                 return
             first = False
 
@@ -265,13 +298,11 @@ class AgillaEngine:
         return True
 
     def _apply_outcome(self, agent: Agent, outcome: Outcome, pc_before: int) -> None:
+        """Park, rotate or kill the agent after an instruction whose outcome
+        is not ``CONTINUE`` (the slice loop applies that one inline)."""
         if agent.state == AgentState.DEAD:
             return
-        if outcome == Outcome.CONTINUE:
-            self._slice_left -= 1
-            if self._slice_left <= 0:
-                self._rotate(agent, still_ready=True)
-        elif outcome == Outcome.HALT:
+        if outcome == Outcome.HALT:
             self.middleware.agent_manager.kill(agent, "halt")
         elif outcome == Outcome.YIELD:
             self._rotate(agent, still_ready=True)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
 
@@ -26,15 +25,28 @@ class Outcome(Enum):
     REMOTE_WAIT = "remote"  # waiting for a remote tuple-space reply
 
 
-@dataclass
 class ExecContext:
-    """Everything an instruction handler may touch."""
+    """Everything an instruction handler may touch.
 
-    agent: Agent
-    middleware: Any  # AgillaMiddleware (typed loosely: import cycle)
-    idef: InstructionDef
-    operand: bytes
-    pc_before: int
+    One is built per executed instruction, so it is a slotted class rather
+    than a dataclass (cheaper to construct).
+    """
+
+    __slots__ = ("agent", "middleware", "idef", "operand", "pc_before")
+
+    def __init__(
+        self,
+        agent: Agent,
+        middleware: Any,  # AgillaMiddleware (typed loosely: import cycle)
+        idef: InstructionDef,
+        operand: bytes,
+        pc_before: int,
+    ):
+        self.agent = agent
+        self.middleware = middleware
+        self.idef = idef
+        self.operand = operand
+        self.pc_before = pc_before
 
     @property
     def mote(self):

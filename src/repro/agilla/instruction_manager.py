@@ -154,6 +154,14 @@ class InstructionManager:
         """The full code image (used when packaging a migration)."""
         return self._image(agent_id).code
 
+    def decoded_table(self, agent_id: int) -> dict[int, Decoded]:
+        """The shared ``pc -> Decoded`` table of the agent's program: the
+        engine binds it once per run-slice and falls back to :meth:`fetch`
+        on a miss.  An agent holding no code gets an empty table, so that
+        fetch raises the trap."""
+        image = self._images.get(agent_id)
+        return image.decoded if image is not None else {}
+
     def fetch(self, agent_id: int, pc: int) -> Decoded:
         """The instruction at ``pc``; a fetch outside the image or of an
         invalid opcode is a trap."""

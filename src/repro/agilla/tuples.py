@@ -12,7 +12,7 @@ single 27-byte TinyOS payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from repro.errors import TupleSpaceError, TupleTooLargeError
 from repro.agilla.fields import (
@@ -30,35 +30,38 @@ MAX_FIELD_BYTES = 25
 MAX_FIELDS = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgillaTuple:
-    """An immutable tuple or template."""
+    """An immutable tuple or template.
+
+    Its sizes are summed once, at construction: every field type's
+    ``wire_size`` is a class constant, and the arena reads a stored tuple's
+    size on every scan.  Slots keep the two stored sizes from costing every
+    tuple an instance dict.
+    """
 
     fields: tuple[Field, ...]
+    #: Serialized size of the fields alone.
+    field_bytes: int = dataclass_field(init=False, repr=False, compare=False)
+    #: Serialized size including the count byte.
+    wire_size: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.fields) > MAX_FIELDS:
             raise TupleSpaceError(f"too many fields: {len(self.fields)}")
-        if self.field_bytes > MAX_FIELD_BYTES:
+        field_bytes = sum(field.wire_size for field in self.fields)
+        if field_bytes > MAX_FIELD_BYTES:
             raise TupleTooLargeError(
-                f"{self.field_bytes} B of fields exceeds the "
+                f"{field_bytes} B of fields exceeds the "
                 f"{MAX_FIELD_BYTES} B limit"
             )
+        object.__setattr__(self, "field_bytes", field_bytes)
+        object.__setattr__(self, "wire_size", 1 + field_bytes)
 
     # ------------------------------------------------------------------
     @property
     def arity(self) -> int:
         return len(self.fields)
-
-    @property
-    def field_bytes(self) -> int:
-        """Serialized size of the fields alone."""
-        return sum(field.wire_size for field in self.fields)
-
-    @property
-    def wire_size(self) -> int:
-        """Serialized size including the count byte."""
-        return 1 + self.field_bytes
 
     @property
     def is_template(self) -> bool:

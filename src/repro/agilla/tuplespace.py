@@ -37,16 +37,14 @@ class TupleSpace:
     def __init__(self, capacity: int = DEFAULT_ARENA_BYTES):
         self.capacity = capacity
         self._entries: list[AgillaTuple] = []
+        #: Bytes stored, kept as a running total by every insert and removal.
+        self.used_bytes = 0
         self.last_work = TsWork()
         # Statistics.
         self.inserts = 0
         self.removals = 0
 
     # ------------------------------------------------------------------
-    @property
-    def used_bytes(self) -> int:
-        return sum(entry.wire_size for entry in self._entries)
-
     @property
     def free_bytes(self) -> int:
         return self.capacity - self.used_bytes
@@ -64,10 +62,13 @@ class TupleSpace:
         if tup.is_template:
             raise TupleSpaceError("cannot insert a template")
         if tup.wire_size > self.free_bytes:
+            # The failed insert scanned and wrote nothing.
+            self.last_work = TsWork()
             raise TupleSpaceFullError(
                 f"arena full: need {tup.wire_size} B, have {self.free_bytes} B"
             )
         self._entries.append(tup)
+        self.used_bytes += tup.wire_size
         self.inserts += 1
         self.last_work = TsWork(bytes_written=tup.wire_size)
 
@@ -91,8 +92,9 @@ class TupleSpace:
         for index, entry in enumerate(self._entries):
             scanned += entry.wire_size
             if template.matches(entry):
-                trailing = sum(e.wire_size for e in self._entries[index + 1 :])
+                trailing = self.used_bytes - scanned
                 del self._entries[index]
+                self.used_bytes -= entry.wire_size
                 self.removals += 1
                 self.last_work = TsWork(
                     bytes_scanned=scanned, bytes_shifted=trailing
@@ -124,6 +126,7 @@ class TupleSpace:
         removed = before - len(kept)
         if removed:
             self._entries = kept
+            self.used_bytes = sum(entry.wire_size for entry in kept)
             self.removals += removed
         self.last_work = TsWork(bytes_scanned=self.used_bytes)
         return removed

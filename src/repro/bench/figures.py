@@ -13,6 +13,7 @@ from repro.agilla.assembler import assemble
 from repro.agilla.isa import BY_NAME, PAPER_OPCODES
 from repro.agilla.reactions import Reaction
 from repro.agilla.tuples import make_template, make_tuple
+from repro.agilla.tuplespace import TupleSpace
 from repro.agilla.agent import Agent, AgentState
 from repro.agilla.engine import DISPATCH_CYCLES
 from repro.agilla.fields import (
@@ -309,7 +310,7 @@ def _measure_local_op(
     manager = middleware.tuplespace_manager
     # Empty-TS probes measure exactly that: purge the boot context tuples.
     if name in ("inp", "rdp"):
-        manager.space._entries.clear()
+        manager.space = TupleSpace(manager.space.capacity)
     if name == "rd":
         manager.space.out(make_tuple(StringField("key"), Value(1)))
     if name in ("tcount",):

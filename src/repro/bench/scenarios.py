@@ -67,7 +67,8 @@ def run_scenarios(
             result["moves"],
             result["fails"],
             result["recoveries"],
-            result["index_rebuilds"],
+            # Sharded rows carry no hearer-index counters.
+            result.get("index_rebuilds", "-"),
             result.get("coverage", "-"),
             result.get("delivery_ratio", "-"),
             result["peak_rss_kb"],

@@ -45,21 +45,21 @@ class Cpu:
         kernel (see :meth:`Simulator.schedule_at`): only the Agilla engine's
         own dispatch hops qualify.
         """
-        start = max(self.sim.now, self.busy_until)
-        finish = start + self.cycles_to_us(cycles)
-        self.busy_until = finish
-        self.cycles_executed += cycles
-        return self.sim.schedule_at(finish, fn, *args, benign=benign)
+        return self.sim.schedule_at(self.charge(cycles), fn, *args, benign=benign)
 
     def charge(self, cycles: int) -> int:
         """Account for work *without* scheduling a completion event.
 
-        Advances the busy horizon exactly as :meth:`execute` would — same
-        ``max(now, busy_until)`` start, same per-call microsecond rounding —
-        and returns it.  The Agilla run-slice engine uses this to charge each
-        instruction of a slice individually (so the CPU timeline is
-        bit-identical to one completion event per instruction) while posting
-        only one kernel event per slice.
+        Work starts at ``max(now, busy_until)`` and lasts
+        :meth:`cycles_to_us` of ``cycles``; the new busy horizon is returned.
+        :meth:`execute` is this charge plus a completion event.  The Agilla
+        run-slice engine charges each instruction of a slice here, one call
+        per instruction, so the CPU timeline is bit-identical to one
+        completion event per instruction while only one kernel event runs
+        per slice.  The engine's inter-instruction hop follows an
+        instruction's charge, which has already put the horizon past
+        ``now``, so the engine adds the hop's ``cycles_to_us`` to
+        ``busy_until`` directly instead of paying a second rounding.
         """
         # Runs once per Agilla instruction, so it reads the kernel clock
         # directly and inlines cycles_to_us (``or 1`` is its ``max(1, ...)``

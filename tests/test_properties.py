@@ -25,7 +25,7 @@ from repro.agilla.fields import (
     unpack_string,
 )
 from repro.agilla.tuples import AgillaTuple, MAX_FIELD_BYTES
-from repro.agilla.tuplespace import TupleSpace
+from repro.agilla.tuplespace import TsWork, TupleSpace
 from repro.errors import TupleSpaceFullError
 from repro.location import Location
 from repro.sim.kernel import Simulator
@@ -96,6 +96,17 @@ class TestCodecProperties:
 
 
 # ----------------------------------------------------------------------
+# Sizes
+# ----------------------------------------------------------------------
+class TestTupleSizes:
+    @given(small_tuples(any_fields))
+    def test_sizes_are_the_per_field_sum(self, tup):
+        field_bytes = sum(field.wire_size for field in tup.fields)
+        assert tup.field_bytes == field_bytes
+        assert tup.wire_size == 1 + field_bytes == len(tup.encode())
+
+
+# ----------------------------------------------------------------------
 # Matching properties
 # ----------------------------------------------------------------------
 class TestMatchingProperties:
@@ -118,7 +129,10 @@ class TestMatchingProperties:
 # Tuple space invariants
 # ----------------------------------------------------------------------
 ops = st.lists(
-    st.tuples(st.sampled_from(["out", "inp", "rdp", "count"]), small_tuples()),
+    st.tuples(
+        st.sampled_from(["out", "inp", "rdp", "count", "remove_all"]),
+        small_tuples(),
+    ),
     max_size=40,
 )
 
@@ -135,7 +149,7 @@ class TestTupleSpaceProperties:
                     space.out(tup)
                     shadow.append(tup)
                 except TupleSpaceFullError:
-                    pass
+                    assert space.last_work == TsWork()  # charged no arena work
                 except Exception:
                     continue  # template insert rejected
             elif op == "inp":
@@ -144,8 +158,12 @@ class TestTupleSpaceProperties:
                     shadow.remove(removed)
             elif op == "rdp":
                 space.rdp(tup)
-            else:
+            elif op == "count":
                 space.count(tup)
+            else:
+                kept = [t for t in shadow if not tup.matches(t)]
+                assert space.remove_all(tup) == len(shadow) - len(kept)
+                shadow = kept
             # Invariants after every operation:
             assert space.used_bytes == sum(t.wire_size for t in shadow)
             assert 0 <= space.used_bytes <= space.capacity

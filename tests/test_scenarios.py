@@ -232,6 +232,17 @@ class TestScenarioBench:
         mobile_row = payload["rows"][1]
         assert mobile_row["moves"] > 0
 
+    def test_sharded_row_fills_the_table(self):
+        # A sharded row has moves/fails/recoveries but no hearer-index
+        # counters: the rebuilds cell reads "-" instead of raising KeyError.
+        table = bench_scenarios.run_scenarios(
+            ["sharded-ribbon"], duration_s=1.0, json_path=None
+        )
+        (row,) = table.rows
+        assert row[0] == "sharded-ribbon"
+        assert row[table.headers.index("rebuilds")] == "-"
+        assert "sharded-ribbon" in table.render()
+
     def test_cli_scenario_subcommand(self, tmp_path, capsys):
         code = bench_main(
             [

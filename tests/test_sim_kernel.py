@@ -257,6 +257,36 @@ class TestQueueHygiene:
         assert sim.compactions >= 1
         assert len(order) == 7
 
+    def test_compaction_inside_run_keeps_the_loop_on_the_live_heap(self):
+        """A callback cancels a dead majority, which compacts the heap from
+        inside run(), and then schedules more events: every survivor and
+        every new event must still fire, in (time, seq) order."""
+        sim = Simulator()
+        sim.COMPACT_MIN_QUEUE = 8
+        fired = []
+        handles = [
+            sim.schedule(100 + 10 * i, fired.append, ("old", i)) for i in range(40)
+        ]
+        # Between survivors, on survivors' ticks (after them) and past them.
+        new_times = [105, 180, 245, 300, 460, 500]
+
+        def purge():
+            for i, handle in enumerate(handles):
+                if i % 4:
+                    handle.cancel()  # 30 of 40 dead
+            assert sim.compactions == 1
+            for j, time in enumerate(new_times):
+                sim.schedule_at(time, fired.append, ("new", j))
+
+        sim.schedule(50, purge)
+        sim.run_until_idle()
+        expected = sorted(
+            [(100 + 10 * i, 0, ("old", i)) for i in range(0, 40, 4)]
+            + [(time, 1, ("new", j)) for j, time in enumerate(new_times)]
+        )
+        assert fired == [tag for _, _, tag in expected]
+        assert sim.pending_events == 0 and sim.stats()["queued"] == 0
+
     def test_recurring_event_reuses_one_handle(self):
         sim = Simulator()
         ticks = []

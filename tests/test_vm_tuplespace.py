@@ -3,7 +3,9 @@
 from repro.agilla.agent import AgentState
 from repro.agilla.assembler import assemble
 from repro.agilla.fields import StringField, Value
+from repro.agilla.params import TS_SCAN_CYCLES_PER_BYTE
 from repro.agilla.tuples import make_template, make_tuple
+from repro.agilla.tuplespace import TupleSpace
 
 from tests.util import run_agent, run_to_death, single_node
 
@@ -266,3 +268,20 @@ class TestReactions:
         net.run(2.0)
         assert tracker.state == AgentState.WAIT_RXN
         assert net.middleware((1, 1)).mote.leds.lit() == []
+
+
+class TestArenaWorkCycles:
+    def test_failed_insert_is_charged_no_arena_work(self):
+        # Regression: a rejected `out` was charged the previous arena
+        # operation's cycles (here a 32-byte rdp miss scan).
+        manager = single_node().middleware((1, 1)).tuplespace_manager
+        manager.space = TupleSpace(capacity=40)
+        for _ in range(8):
+            assert manager.insert(make_tuple(Value(1)))[0]  # 4 B each
+        miss = manager.read(make_template(StringField("no")))
+        assert miss == (None, 32 * TS_SCAN_CYCLES_PER_BYTE)
+        inserted, cycles = manager.insert(
+            make_tuple(StringField("big"), Value(1), Value(2))  # 10 B
+        )
+        assert (inserted, cycles) == (False, 0)
+        assert manager.space.used_bytes == 32
