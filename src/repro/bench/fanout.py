@@ -15,17 +15,11 @@ runs decide the *same* deliveries — the ``speedup`` column is a controlled
 experiment, and the committed ``results/BENCH_fanout.json`` rows gate under
 ``bench compare --max-drop`` on the default path's ``events_per_s``.
 
-Two further row families ride in the same artifact (and gate the same way,
-keyed by ``case``):
-
-* ``*-sense`` rows time ``Channel.busy_for`` with a fixed set of on-air
-  transmitters — the armed-backoff re-check the CSMA MAC hammers under
-  contention — on the vectorized audible-slot gather vs the forced-scalar
-  on-air scan.  Carrier sense draws no RNG, so the two timings are the
-  same question asked twice of an identical channel state.
-* ``breakeven-*`` rows sweep audience width on an all-hear field to locate
-  the fan-out width where the vector pass overtakes the scalar loop — the
-  measurement backing the committed ``VECTOR_FANOUT_MIN``.
+A second row family rides in the same artifact (and gates the same way,
+keyed by ``case``): ``breakeven-*`` rows sweep audience width on an
+all-hear field to locate the fan-out width where the vector pass overtakes
+the scalar loop — the measurement backing the committed
+``VECTOR_FANOUT_MIN``.
 
 Every wall-clock figure is the fastest of :data:`TIMING_REPEATS` timing
 blocks (``timeit.repeat`` practice — see the constant's note on single-core
@@ -125,89 +119,6 @@ def _best_fanout_wall(channel: Channel, hub, reps: int) -> tuple[float, int]:
     return best_wall, best_got
 
 
-def _put_on_air(channel: Channel, radio, airtime_us: int) -> None:
-    """Place one long transmission from ``radio`` on the air (no MAC)."""
-    frame = Frame(radio.mote.id, 0xFFFF, 0x10, b"cs")
-    now = channel.sim.now
-    tx = Transmission(radio, frame, now, now + airtime_us)
-    radio._current_tx = tx
-    channel.field.begin_tx(radio._slot, tx.start, tx.end)
-    channel.begin_transmission(tx)
-
-
-def _time_sense(channel: Channel, probe, reps: int) -> float:
-    busy = channel.busy_for
-    started = time.perf_counter()
-    for _ in range(reps):
-        busy(probe)
-    return time.perf_counter() - started
-
-
-def run_sense_one(
-    nodes: int,
-    density: str,
-    seed: int = 0,
-    reps: int | None = None,
-    transmitters: int = 32,
-) -> dict:
-    """One carrier-sense cell: ``busy_for`` calls/s, vector vs forced scalar.
-
-    The default on-air count (32) sits above :data:`VECTOR_SENSE_MIN`, so the
-    cell measures the regime where the dispatch actually picks the gather —
-    the transmitter sweep behind the committed threshold lives in
-    ``results/carrier-sense.txt``'s notes.
-    The on-air set is the ``transmitters`` radios *farthest* from the probe:
-    in sparse cells none of them is audible, so the scalar scan has to probe
-    every on-air transmission before it can answer "idle" — exactly the
-    expensive case spatial reuse puts the MAC in.  In dense (all-hear)
-    cells the first probe already answers "busy", which is the scalar
-    loop's best case; the row is honest about both regimes (``busy`` says
-    which one the cell measured).  No RNG is consumed either way, so both
-    timings interrogate an identical channel.
-    """
-    spacing = _spacing_for(DENSITIES[density], nodes)
-    channel, hub = _deploy(nodes, spacing, seed)
-    hx, hy = hub.position
-    farthest = sorted(
-        (radio for radio in channel.radios if radio is not hub),
-        key=lambda r: (r.position[0] - hx) ** 2 + (r.position[1] - hy) ** 2,
-        reverse=True,
-    )[:transmitters]
-    for radio in farthest:
-        _put_on_air(channel, radio, 10_000_000)
-    if reps is None:
-        reps = 150_000
-    audible_ids = {r.mote.id for r in channel.hearers(hub)}
-    audible_on_air = sum(1 for r in farthest if r.mote.id in audible_ids)
-    channel.vector_sense_min = 1  # always the audible-slot gather
-    _time_sense(channel, hub, 5)  # warm the audible-slot cache
-    busy = channel.busy_for(hub)
-    vector_wall = min(
-        _time_sense(channel, hub, reps) for _ in range(TIMING_REPEATS)
-    )
-    channel.vector_sense_min = len(channel._on_air) + 1  # always scalar
-    _time_sense(channel, hub, 5)  # warm the hearer-id sets
-    scalar_wall = min(
-        _time_sense(channel, hub, reps) for _ in range(TIMING_REPEATS)
-    )
-    return {
-        "case": f"{nodes}n-{density}-sense",
-        "nodes": nodes,
-        "density": density,
-        "mode": "carrier-sense",
-        "on_air": len(farthest),
-        "audible_on_air": audible_on_air,
-        "busy": busy,
-        "reps": reps,
-        "wall_s": round(vector_wall, 4),
-        "events_per_s": round(reps / vector_wall) if vector_wall > 0 else 0,
-        "scalar_wall_s": round(scalar_wall, 4),
-        "scalar_events_per_s": round(reps / scalar_wall) if scalar_wall > 0 else 0,
-        "speedup": round(scalar_wall / vector_wall, 2) if vector_wall > 0 else 0.0,
-        "peak_rss_kb": peak_rss_kb(),
-    }
-
-
 #: Audience widths the break-even sweep samples (all-hear fields, so the
 #: audience IS nodes - 1).
 BREAK_EVEN_AUDIENCES = (4, 8, 12, 16, 20, 24, 32, 48)
@@ -291,20 +202,15 @@ def run_fanout_bench(
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
     seed: int = 0,
 ) -> list[Table]:
-    """The nodes × density fan-out + carrier-sense sweep and the break-even
-    audience search; writes ``BENCH_fanout.json``."""
+    """The nodes × density fan-out sweep and the break-even audience
+    search; writes ``BENCH_fanout.json``."""
     fanout_rows = [
         run_one(nodes, density, seed=seed)
         for nodes in node_counts
         for density in DENSITIES
     ]
-    sense_rows = [
-        run_sense_one(nodes, density, seed=seed)
-        for nodes in node_counts
-        for density in DENSITIES
-    ]
     breakeven_rows, break_even = run_break_even(seed=seed)
-    rows = fanout_rows + sense_rows + breakeven_rows
+    rows = fanout_rows + breakeven_rows
     table = Table(
         "fanout",
         "delivery fan-out micro-benchmark (pure end_transmission throughput)",
@@ -328,27 +234,6 @@ def run_fanout_bench(
             row["speedup"],
             "-",
         )
-    sense_table = Table(
-        "carrier-sense",
-        "busy_for calls/s, farthest transmitters on the air "
-        "(vector = audible-slot gather, scalar = on-air scan)",
-        ["case", "on-air", "audible", "busy", "busy/s", "scalar b/s", "speedup"],
-    )
-    for row in sense_rows:
-        sense_table.add_row(
-            row["case"],
-            row["on_air"],
-            row["audible_on_air"],
-            "yes" if row["busy"] else "no",
-            row["events_per_s"],
-            row["scalar_events_per_s"],
-            row["speedup"],
-        )
-    sense_table.add_note(
-        "busy cells answer on the scalar scan's first probe, so the gather "
-        "only pays off in the all-inaudible (spatial reuse) regime; the "
-        "committed VECTOR_SENSE_MIN is the measured crossover there"
-    )
     table.add_note(
         "fanouts/s = default (vectorized) path; scalar f/s = the same cell "
         "with vector_fanout_min forced unreachable; both decide identical "
@@ -361,4 +246,4 @@ def run_fanout_bench(
             "backs the committed VECTOR_FANOUT_MIN)"
         )
     write_artifact(table, json_path, rows, seed=seed, fanout_break_even=break_even)
-    return [table, sense_table]
+    return [table]

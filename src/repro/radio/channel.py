@@ -24,14 +24,14 @@ loss draws collapse into one ``rng.random_vector(n)`` call.  The
 draw consumes the MT19937 stream exactly like the scalar per-receiver loop,
 so fixed-seed runs are bit-identical whichever path a frame takes.
 
-Carrier sense and the hearer queries are array-native too: ``busy_for``
-resolves "any audible active transmitter" as one gather over a cached
-audible-slot array (with :data:`VECTOR_SENSE_MIN` on-air transmissions and
-up), and ``hearers()`` builds its audience from spatial-hash cells kept as
-field-slot lists — concatenate, one vectorized ``in_range_mask``, one
-argsort by attach sequence.  Neither path consumes RNG, so they cannot
-perturb a fixed-seed stream at all; the hypothesis interleaving property
-pins vector carrier sense == the naive scalar scan after every mutation.
+Carrier sense is one early-exit scan: ``busy_for`` walks the handful of
+on-air transmissions and stops at the first one audible at the sensing
+radio (nothing on the air costs one list check).  The hearer queries are
+array-native: ``hearers()`` builds its audience from spatial-hash cells kept
+as field-slot lists — concatenate, one vectorized ``in_range_mask``, one
+argsort by attach sequence.  Neither consumes RNG, so they cannot perturb a
+fixed-seed stream at all; the hypothesis interleaving property pins
+``busy_for`` == a naive every-transmission walk after every mutation.
 """
 
 from __future__ import annotations
@@ -67,17 +67,7 @@ EFFECTIVE_BITRATE = 19_200
 #: ``flood-mobile``, so both paths carry a workload.
 VECTOR_FANOUT_MIN = 16
 
-#: On-air count at which :meth:`Channel.busy_for` switches from the scalar
-#: on-air scan to the audible-slot gather.  Like the fan-out threshold this
-#: is purely a throughput knob — neither path consumes RNG — but the scalar
-#: loop's early exit (and the per-tick active-transmission memo it walks)
-#: makes it unbeatable when a handful of frames are on the air: the gather
-#: costs ~2µs flat while the scan costs well under 0.2µs per on-air frame.
-#: The ``bench fanout`` carrier-sense sweep (``results/carrier-sense.txt``)
-#: puts the crossover at 16 on-air transmissions in the all-inaudible worst
-#: case (spatial reuse), the regime sharded dense fields actually hit.
-#: End to end the traced benchmark runs sense 3.9% vector on
-#: ``flood-mobile`` and 50% on ``habitat-sharded``.
+#: Unused (carrier sense has one path); kept because perfbench's manifest reports it.
 VECTOR_SENSE_MIN = 16
 
 
@@ -122,7 +112,7 @@ class Radio:
         self._receive_callback: Callable[[Frame], None] | None = None
         self._current_tx: Transmission | None = None
         self._send_pending = False
-        self._pending_carrier_sense = None  # EventHandle of the armed backoff
+        self._pending_carrier_sense = None  # armed backoff's EventHandle; None once fired
         self._attach_seq = 0  # set by Channel.attach; orders hearer lists
         self._slot: int | None = None  # RadioField slot; None once detached
         # Statistics used by the benchmarks.  Receptions are split between
@@ -146,7 +136,10 @@ class Radio:
             return
         self._enabled = up
         if self._slot is not None:
-            self.channel.field.set_enabled(self._slot, up)
+            tx = self._current_tx
+            self.channel.field.set_enabled(
+                self._slot, up, None if tx is None else tx.start
+            )
         if not up and self._send_pending and self._pending_carrier_sense is not None:
             # The armed backoff will now abort the send (completion callbacks
             # touch protocol and scheduling state): it is no longer benign to
@@ -220,18 +213,13 @@ class Radio:
         self._pending_carrier_sense = self.sim.schedule(
             delay, self._carrier_sense, frame, on_done, attempt, benign=benign
         )
-        if self.channel.track_cs and self._slot is not None:
-            # Mirror the armed fire time so the shard worker's lookahead
-            # horizon is a min-reduction over boundary slots, not an event-
-            # handle walk (see ShardWorker.horizon).  Only shard workers
-            # read the mirror, so single-process runs skip the array write.
-            self.channel.field.arm_cs(self._slot, self.sim.now + delay)
 
     def _carrier_sense(
         self, frame: Frame, on_done: Callable[[bool], None] | None, attempt: int
     ) -> None:
-        if self.channel.track_cs and self._slot is not None:
-            self.channel.field.clear_cs(self._slot)
+        # Disarmed as it fires: the shard lookahead (ShardWorker.horizon)
+        # reads a non-None handle as a carrier sense still to come.
+        self._pending_carrier_sense = None
         if not self.enabled:
             self._finish_send(on_done, False)
             return
@@ -251,7 +239,7 @@ class Radio:
         tx = Transmission(self, frame, self.sim.now, self.sim.now + airtime)
         self._current_tx = tx
         if self._slot is not None:
-            self.channel.field.begin_tx(self._slot, tx.start, tx.end)
+            self.channel.field.begin_tx(self._slot, tx.start)
         self.frames_sent += 1
         self.bytes_sent += frame.air_bytes
         self.channel.begin_transmission(tx)
@@ -334,45 +322,24 @@ class Channel:
         #: maintain the hearer index (see :mod:`repro.radio.field`).
         self.field = RadioField()
         #: The handful of transmissions currently on the air: what carrier
-        #: sense scans, and the source of each new frame's overlap set.
+        #: sense scans, and the source of each new frame's overlap set.  A
+        #: radio that detaches mid-flight leaves its frame here until the
+        #: frame's end event fires (the energy already left the antenna).
         self._on_air: list[Transmission] = []
-        #: On-air transmissions whose radio detached mid-flight: their field
-        #: slot is released (reads idle), so the audible-slot gather cannot
-        #: see them and carrier sense falls back to scanning this (normally
-        #: empty) list.
-        self._detached_on_air: list[Transmission] = []
-        # Same-tick carrier-sense batching: the interval-filtered active
-        # sublist of ``_on_air`` is computed once per (tick, air epoch) and
-        # shared by every armed-backoff re-check that lands on that tick.
-        self._air_epoch = 0
-        self._sense_tick = -1
-        self._sense_epoch = -1
-        self._sense_active: list[Transmission] = []
         # Hearer index: mote id -> radios in range of that transmitter, in
         # attach order (kept as list for iteration plus id-set for membership
-        # plus field-slot array for the vectorized fan-out).  ``_audible_slots``
-        # is the reverse view carrier sense gathers over: the field slots of
-        # every radio whose transmissions this mote can hear.  All four are
+        # plus field-slot array for the vectorized fan-out).  All three are
         # dropped by exactly the same attach/move/detach/model hooks.
         self._hearers: dict[int, list[Radio]] = {}
         self._hearer_ids: dict[int, frozenset[int]] = {}
         self._hearer_slots: dict[int, "np.ndarray"] = {}
-        self._audible_slots: dict[int, "np.ndarray"] = {}
         #: Spatial hash: cell -> field slots of the radios in it (cell size =
-        #: radio range), the index base both hearer queries concatenate.
+        #: radio range), the index base a hearer query concatenates.
         self._cells: dict[tuple[int, int], list[int]] | None = None
         self._cell_size: float = 0.0
         #: Fan-out width at which delivery switches to the vectorized pass.
         #: Tunable per channel (benchmarks force both paths with it).
         self.vector_fanout_min = VECTOR_FANOUT_MIN
-        #: On-air count at which carrier sense switches to the audible-slot
-        #: gather (same per-channel tunability).
-        self.vector_sense_min = VECTOR_SENSE_MIN
-        #: Maintain the field's armed-carrier-sense mirror (``cs_time``).
-        #: Off by default — only shard workers read it (their lookahead
-        #: horizon min-reduces over boundary slots), so single-process runs
-        #: skip two array writes per MAC attempt.
-        self.track_cs = False
         #: Installed receive handlers (see Radio.set_receive_callback).
         self._receive_callbacks = 0
         #: Memoized per-pair PRRs (see :mod:`repro.radio.linkcache`).
@@ -393,10 +360,11 @@ class Channel:
         self.prr_drops = 0
         self.corrupted_frames = 0
         self.mac_giveups = 0
-        #: Carrier-sense path counters: idle early-outs (nothing on the air),
-        #: scalar scans, and vectorized audible-slot gathers.
+        #: Carrier-sense counters: idle early-outs (nothing on the air) and
+        #: on-air scans.
         self.sense_idle = 0
         self.sense_scalar = 0
+        #: Always 0 (carrier sense has no vector path); perfbench still reads it.
         self.sense_vector = 0
         self.full_invalidations = 0
         self.index_moves = 0
@@ -448,18 +416,15 @@ class Channel:
         self._hearers.clear()
         self._hearer_ids.clear()
         self._hearer_slots.clear()
-        self._audible_slots.clear()
         self._cells = None
 
     def _drop_cached(self, mote_id: int) -> None:
         self._hearers.pop(mote_id, None)
         self._hearer_ids.pop(mote_id, None)
         self._hearer_slots.pop(mote_id, None)
-        self._audible_slots.pop(mote_id, None)
 
     def _drop_cached_near(self, position: Position) -> None:
-        """Drop the cached hearer lists (and audible-slot arrays — the same
-        symmetric in-range relation) of every radio within one cell of
+        """Drop the cached hearer lists of every radio within one cell of
         ``position`` — the only caches a change at ``position`` can affect,
         since audibility is bounded by the cell size (= radio range)."""
         assert self._cells is not None
@@ -528,11 +493,6 @@ class Channel:
         radio.enabled = False
         self.link_cache.invalidate(mote_id)
         self.retired_bytes_sent += radio.bytes_sent
-        if radio._current_tx is not None:
-            # The frame still on the air outlives the field slot (released
-            # below): keep it visible to the vectorized carrier sense via
-            # the detached fallback list until its end event fires.
-            self._detached_on_air.append(radio._current_tx)
         if self._cells is not None:
             if self._cell_size <= 0.0:
                 self.invalidate_neighbor_index()
@@ -669,72 +629,28 @@ class Channel:
         return round(frame.air_bytes * 8 * 1_000_000 / self.bitrate)
 
     # ------------------------------------------------------------------
-    def _audible_slots_for(self, radio: Radio) -> "np.ndarray":
-        """Field slots whose transmissions ``radio`` can hear, cached.
-
-        The mirror image of :meth:`hearers` (identical for the symmetric
-        distance models that define ``in_range_mask``), dropped by exactly
-        the same attach/move/detach/model hooks, so one gather of
-        ``field.tx_end`` at these slots answers carrier sense.
-        """
-        slots = self._audible_slots.get(radio.mote.id)
-        if slots is None:
-            self._ensure_cells()
-            slots = self._selected_slots(radio.position, radio._slot)
-            self._audible_slots[radio.mote.id] = slots
-        return slots
-
-    def _active_on_air(self, now: int) -> list[Transmission]:
-        """The interval-filtered on-air sublist, computed once per tick.
-
-        Every armed-backoff re-check landing on the same tick shares it:
-        the air can only change through begin/end_transmission (which bump
-        ``_air_epoch``), never from inside a carrier-sense event.
-        """
-        if self._sense_tick == now and self._sense_epoch == self._air_epoch:
-            return self._sense_active
-        active = [tx for tx in self._on_air if tx.start <= now < tx.end]
-        self._sense_tick = now
-        self._sense_epoch = self._air_epoch
-        self._sense_active = active
-        return active
-
     def busy_for(self, radio: Radio) -> bool:
-        """Carrier sense: is any audible transmission in progress?
+        """Carrier sense: is any transmission audible at ``radio`` in progress?
 
         Nothing on the air is the common case and costs one list check.
-        Past :attr:`vector_sense_min` on-air transmissions the answer is a
-        single ``tx_end`` gather over the cached audible-slot array — an
-        in-flight transmission always has ``tx_start <= now``, so
-        ``tx_end > now`` alone means "active right now" (idle slots read
-        -1).  Below the threshold the scalar scan's early exit wins.
-        Neither path draws RNG.
+        Otherwise one scan of the on-air list (a handful of frames) returns
+        at the first active frame another radio is sending within earshot;
+        in a busy cell that is the first frame probed.  A radio that
+        detached mid-flight keeps its frame on the list until the frame's
+        end event, so the scan still hears it.  No RNG is drawn.
         """
         on_air = self._on_air
         if not on_air:
             self.sense_idle += 1
             return False
-        now = self.sim.now
-        if (
-            len(on_air) >= self.vector_sense_min
-            and radio._slot is not None
-            and hasattr(self._link_model, "in_range_mask")
-        ):
-            self.sense_vector += 1
-            slots = self._audible_slots_for(radio)
-            if slots.size and bool((self.field.tx_end[slots] > now).any()):
-                return True
-            if self._detached_on_air:
-                # Mid-flight detachments released their slot; scan them the
-                # scalar way (the list is almost always empty).
-                for tx in self._detached_on_air:
-                    if tx.start <= now < tx.end and tx.radio is not radio:
-                        if self._can_hear(tx.radio, radio):
-                            return True
-            return False
         self.sense_scalar += 1
-        for tx in self._active_on_air(now):
-            if tx.radio is not radio and self._can_hear(tx.radio, radio):
+        now = self.sim.now
+        for tx in on_air:
+            if (
+                tx.start <= now < tx.end
+                and tx.radio is not radio
+                and self._can_hear(tx.radio, radio)
+            ):
                 return True
         return False
 
@@ -759,7 +675,6 @@ class Channel:
                     tx.overlaps = []
                 tx.overlaps.append(other)
         self._on_air.append(tx)
-        self._air_epoch += 1
         self.frames_transmitted += 1
         if self.on_transmission is not None:
             self.on_transmission(tx)
@@ -790,9 +705,6 @@ class Channel:
         transmission history.
         """
         self._on_air.remove(tx)
-        self._air_epoch += 1
-        if self._detached_on_air and tx in self._detached_on_air:
-            self._detached_on_air.remove(tx)
         if tx.corrupted:
             # Injected corruption: the frame jammed the medium for its full
             # airtime but no receiver passes CRC — no eligibility checks, no

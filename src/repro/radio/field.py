@@ -4,8 +4,18 @@ The channel's delivery fan-out used to read each receiver's state through
 Python attribute chains — ``radio._enabled``, ``radio._current_tx.start`` —
 one hop per hearer per frame.  :class:`RadioField` is the array-of-structs
 replacement: every attached radio owns a dense *slot* into a set of
-parallel arrays (position, tx power, enabled flag, current-tx interval),
-and the fan-out becomes boolean-mask arithmetic over fancy-indexed views.
+parallel arrays, and the fan-out becomes boolean-mask arithmetic over
+fancy-indexed views.  The columns are exactly what the fan-out and the
+hearer queries read:
+
+* ``positions`` — N×2 metres, for the vectorized in-range mask and PRRs;
+* ``eligible_key`` — power and in-flight transmission fused into one
+  int64 comparand (see :data:`ELIGIBLE_NEVER`);
+* ``attach_seq`` — the sort key that orders hearer lists;
+* ``frames_received`` — the vector fan-out's reception tallies;
+* ``mote_ids`` — each slot's owner (-1 when free), inverted by the
+  ``slot_of`` dict: the fan-out works in slot space, but delivery hands
+  frames to mote objects.
 
 The field is not an independent source of truth so much as a *mirror* with
 array layout: it is written through exactly the hooks that already re-key
@@ -21,9 +31,7 @@ the spatial hearer index and invalidate the :class:`LinkCache` —
 
 Slots are recycled LIFO on release, so the arrays stay dense under churn:
 ``N`` live radios occupy at most ``max(N over time)`` slots, and capacity
-only ever doubles.  ``mote_ids[slot]`` holds the owner (-1 when free) and
-``slot_of`` maps back — both directions are needed because the fan-out
-works in slot space but delivery hands frames to mote objects.
+only ever doubles.
 
 Two scratch arrays ride along (``scratch_bool``, ``scratch_prr``) sized to
 capacity: the vector fan-out uses them for collision marking and override
@@ -36,17 +44,6 @@ from __future__ import annotations
 from repro.radio._np import np
 from repro.radio.linkmodels import Position
 
-#: ``tx_end`` value for "not transmitting".  Sim time is a non-negative
-#: microsecond counter, so the half-duplex overlap test
-#: ``(tx_start < end) & (tx_end > start)`` is always false for idle slots
-#: (their interval is [0, -1)).
-NO_TX_END = -1
-
-#: ``cs_time`` value for "no carrier-sense event armed".  Matches the shard
-#: protocol's ``GRANT_FOREVER`` (1 << 62), so a min-reduction over boundary
-#: slots degrades to "no bound" exactly like the scalar pending-event scan.
-NO_CS = 1 << 62
-
 #: ``eligible_key`` encodes receiver eligibility as a single int64 so the
 #: fan-out's "powered and not mid-transmission during [start, end)" test is
 #: one gather and one compare (``eligible_key >= end``) instead of three
@@ -57,10 +54,10 @@ NO_CS = 1 << 62
 #: * enabled, mid-tx     → its ``tx_start``
 #:
 #: The collapse to one comparand is sound because an in-flight receiver
-#: transmission always satisfies ``tx_end > start`` at the delivering
-#: frame's end-of-airtime (its end event has not fired, so ``tx_end >= now
-#: == end > start``), leaving ``tx_start >= end`` as the only way the old
-#: two-sided overlap test could pass.
+#: transmission always ends no earlier than the delivering frame's
+#: end-of-airtime (its end event has not fired, so its end ``>= now == end
+#: > start``), leaving ``tx_start >= end`` as the only way the two-sided
+#: half-duplex overlap test could pass.
 ELIGIBLE_NEVER = -(1 << 62)
 ELIGIBLE_IDLE = 1 << 62
 
@@ -73,12 +70,7 @@ class RadioField:
     __slots__ = (
         "capacity",
         "positions",
-        "tx_power_dbm",
-        "enabled",
-        "tx_start",
-        "tx_end",
         "eligible_key",
-        "cs_time",
         "attach_seq",
         "frames_received",
         "mote_ids",
@@ -91,17 +83,9 @@ class RadioField:
     def __init__(self, capacity: int = _INITIAL_CAPACITY):
         self.capacity = max(int(capacity), 1)
         self.positions = np.zeros((self.capacity, 2), dtype=np.float64)
-        self.tx_power_dbm = np.zeros(self.capacity, dtype=np.float64)
-        self.enabled = np.zeros(self.capacity, dtype=bool)
-        self.tx_start = np.zeros(self.capacity, dtype=np.int64)
-        self.tx_end = np.full(self.capacity, NO_TX_END, dtype=np.int64)
         #: Fused eligibility comparand (see :data:`ELIGIBLE_NEVER`), kept in
-        #: step with ``enabled``/``tx_start``/``tx_end`` by the hooks below.
+        #: step with the radio's power and transmissions by the hooks below.
         self.eligible_key = np.full(self.capacity, ELIGIBLE_NEVER, dtype=np.int64)
-        #: Fire time of the slot's armed carrier-sense event (``NO_CS`` when
-        #: none pending) — the shard worker's lookahead horizon min-reduces
-        #: this over its boundary slots instead of walking event handles.
-        self.cs_time = np.full(self.capacity, NO_CS, dtype=np.int64)
         #: Attach order (monotone per channel; -1 when free): the sort key
         #: that makes the vectorized hearer query's ordering identical to
         #: the scalar list sort.
@@ -122,14 +106,7 @@ class RadioField:
     def __len__(self) -> int:
         return len(self.slot_of)
 
-    def allocate(
-        self,
-        mote_id: int,
-        position: Position,
-        enabled: bool = True,
-        tx_power_dbm: float = 0.0,
-        attach_seq: int = -1,
-    ) -> int:
+    def allocate(self, mote_id: int, position: Position, attach_seq: int = -1) -> int:
         """Claim a slot for ``mote_id`` and seed its state; returns the slot."""
         if mote_id in self.slot_of:
             raise ValueError(f"mote id {mote_id} already holds a field slot")
@@ -138,12 +115,7 @@ class RadioField:
         slot = self._free.pop()
         self.positions[slot, 0] = position[0]
         self.positions[slot, 1] = position[1]
-        self.tx_power_dbm[slot] = tx_power_dbm
-        self.enabled[slot] = enabled
-        self.tx_start[slot] = 0
-        self.tx_end[slot] = NO_TX_END
-        self.eligible_key[slot] = ELIGIBLE_IDLE if enabled else ELIGIBLE_NEVER
-        self.cs_time[slot] = NO_CS
+        self.eligible_key[slot] = ELIGIBLE_IDLE
         self.attach_seq[slot] = attach_seq
         self.frames_received[slot] = 0
         self.mote_ids[slot] = mote_id
@@ -159,11 +131,7 @@ class RadioField:
         than silently wrong).
         """
         slot = self.slot_of.pop(mote_id)
-        self.enabled[slot] = False
-        self.tx_start[slot] = 0
-        self.tx_end[slot] = NO_TX_END
         self.eligible_key[slot] = ELIGIBLE_NEVER
-        self.cs_time[slot] = NO_CS
         self.attach_seq[slot] = -1
         self.frames_received[slot] = 0
         self.mote_ids[slot] = -1
@@ -176,32 +144,23 @@ class RadioField:
         self.positions[slot, 0] = position[0]
         self.positions[slot, 1] = position[1]
 
-    def set_enabled(self, slot: int, up: bool) -> None:
-        self.enabled[slot] = up
+    def set_enabled(self, slot: int, up: bool, tx_start: int | None) -> None:
+        """Power toggle; ``tx_start`` is the radio's own in-flight
+        transmission start, or ``None`` when it is not sending."""
         if not up:
             self.eligible_key[slot] = ELIGIBLE_NEVER
-        elif self.tx_end[slot] != NO_TX_END:
-            self.eligible_key[slot] = self.tx_start[slot]
+        elif tx_start is not None:
+            self.eligible_key[slot] = tx_start
         else:
             self.eligible_key[slot] = ELIGIBLE_IDLE
 
-    def begin_tx(self, slot: int, start: int, end: int) -> None:
-        self.tx_start[slot] = start
-        self.tx_end[slot] = end
-        self.eligible_key[slot] = start if self.enabled[slot] else ELIGIBLE_NEVER
+    def begin_tx(self, slot: int, start: int) -> None:
+        if self.eligible_key[slot] != ELIGIBLE_NEVER:  # a powered-down radio stays off
+            self.eligible_key[slot] = start
 
     def end_tx(self, slot: int) -> None:
-        self.tx_end[slot] = NO_TX_END
-        self.eligible_key[slot] = (
-            ELIGIBLE_IDLE if self.enabled[slot] else ELIGIBLE_NEVER
-        )
-
-    def arm_cs(self, slot: int, at: int) -> None:
-        """Mirror an armed carrier-sense event's fire time."""
-        self.cs_time[slot] = at
-
-    def clear_cs(self, slot: int) -> None:
-        self.cs_time[slot] = NO_CS
+        if self.eligible_key[slot] != ELIGIBLE_NEVER:
+            self.eligible_key[slot] = ELIGIBLE_IDLE
 
     # ------------------------------------------------------------------
     def slots_of(self, mote_ids: list[int]) -> "np.ndarray":
@@ -219,19 +178,8 @@ class RadioField:
         positions = np.zeros((new, 2), dtype=np.float64)
         positions[:old] = self.positions
         self.positions = positions
-        self.tx_power_dbm = np.concatenate(
-            [self.tx_power_dbm, np.zeros(old, dtype=np.float64)]
-        )
-        self.enabled = np.concatenate([self.enabled, np.zeros(old, dtype=bool)])
-        self.tx_start = np.concatenate([self.tx_start, np.zeros(old, dtype=np.int64)])
-        self.tx_end = np.concatenate(
-            [self.tx_end, np.full(old, NO_TX_END, dtype=np.int64)]
-        )
         self.eligible_key = np.concatenate(
             [self.eligible_key, np.full(old, ELIGIBLE_NEVER, dtype=np.int64)]
-        )
-        self.cs_time = np.concatenate(
-            [self.cs_time, np.full(old, NO_CS, dtype=np.int64)]
         )
         self.attach_seq = np.concatenate(
             [self.attach_seq, np.full(old, -1, dtype=np.int64)]

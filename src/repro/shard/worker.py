@@ -52,7 +52,6 @@ from typing import Iterable, Protocol
 from repro.mote.mote import Mote
 from repro.net.filters import NeighborSetFilter
 from repro.network import SensorNetwork
-from repro.radio._np import np
 from repro.radio.channel import MacParams, Transmission
 from repro.radio.frame import Frame
 from repro.scenarios.spec import Scenario
@@ -119,11 +118,6 @@ class ShardWorker:
         )
         self.sim = self.net.sim
         self.channel = self.net.channel
-        # The lookahead horizon reads the field's armed-carrier-sense
-        # mirror; only shard workers turn the bookkeeping on (see
-        # Channel.track_cs).  No send can be scheduled before this line —
-        # the workload installs below — so the mirror is never stale.
-        self.channel.track_cs = True
 
         # --- ghosts: foreign boundary motes, attached disabled ------------
         # Attached after every real mote so real attach order (and therefore
@@ -168,15 +162,6 @@ class ShardWorker:
         self._boundary_radios = [
             self.channel.radio_for(mote_id) for mote_id in sorted(self._watch)
         ]
-        # Boundary motes are attached for the shard's lifetime, so their
-        # field slots are stable: the lookahead horizon min-reduces the
-        # field's armed-carrier-sense mirror over this fixed index array
-        # instead of walking per-radio event handles every round.
-        self._boundary_slots = np.fromiter(
-            (radio._slot for radio in self._boundary_radios),
-            dtype=np.intp,
-            count=len(self._boundary_radios),
-        )
         self._outbox: dict[int, list[TxEnvelope]] = {j: [] for j in self._neighbor_order}
         self.channel.on_transmission = self._on_transmission
 
@@ -268,17 +253,15 @@ class ShardWorker:
     def horizon(self) -> int:
         """Earliest tick at which a boundary transmission could start.
 
-        ``field.cs_time`` mirrors each radio's armed carrier-sense fire time
-        (``NO_CS`` — numerically ``GRANT_FOREVER`` — when none is pending),
-        written by ``Radio._attempt_send`` and cleared the moment the event
-        fires, so this min-reduction is value-identical to scanning the
-        pending event handles of every boundary radio.
+        A boundary radio's armed carrier sense is its
+        ``_pending_carrier_sense`` handle, which ``Radio._carrier_sense``
+        clears as it fires, so a non-None handle is always still to come.
         """
         h = GRANT_FOREVER
-        if self._boundary_slots.size:
-            pending = int(self.channel.field.cs_time[self._boundary_slots].min())
-            if pending < h:
-                h = pending
+        for radio in self._boundary_radios:
+            pending = radio._pending_carrier_sense
+            if pending is not None and pending.time < h:
+                h = pending.time
         next_event = self.sim.next_event_time()
         if next_event is not None:
             h = min(h, next_event + MIN_BACKOFF_US)
@@ -364,7 +347,7 @@ class ShardWorker:
         )
         radio._current_tx = tx
         if radio._slot is not None:
-            self.channel.field.begin_tx(radio._slot, tx.start, tx.end)
+            self.channel.field.begin_tx(radio._slot, tx.start)
         self.channel.begin_transmission(tx)
         self.ghost_frames += 1
         self.sim.schedule_at(envelope.end, self._replay_end, radio, tx)

@@ -185,15 +185,16 @@ class TestFanoutBench:
 
         assert main(["fanout", "--nodes", "16", "--out", str(tmp_path)]) == 0
         assert "fanout" in capsys.readouterr().out
+        # One table: the carrier-sense table is retired with its threshold.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_fanout.json", "fanout.txt"]
         payload = json.loads((tmp_path / "BENCH_fanout.json").read_text())
         cases = [row["case"] for row in payload["rows"]]
-        # Three row families share the artifact: fan-out sweep cells,
-        # carrier-sense cells, and the break-even audience ladder.
+        # Two row families share the artifact: fan-out sweep cells and the
+        # break-even audience ladder.
         assert cases[:3] == ["16n-sparse", "16n-mid", "16n-dense"]
-        assert cases[3:6] == ["16n-sparse-sense", "16n-mid-sense", "16n-dense-sense"]
         from repro.bench.fanout import BREAK_EVEN_AUDIENCES
 
-        assert cases[6:] == [f"breakeven-{n}h" for n in BREAK_EVEN_AUDIENCES]
+        assert cases[3:] == [f"breakeven-{n}h" for n in BREAK_EVEN_AUDIENCES]
         assert len(cases) == len(set(cases))  # "case" stays a unique row key
         # The gate keys on "case" and reads "events_per_s" — the same row
         # identity contract `bench compare` matches on.
@@ -201,7 +202,6 @@ class TestFanoutBench:
         assert all(
             row["scalar_events_per_s"] > 0 and row["speedup"] > 0
             for row in payload["rows"]
-            if row["case"].endswith("-sense")
         )
         from repro.bench.compare import compare_artifacts
 

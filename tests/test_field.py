@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.radio import Channel, Frame, PerfectLinks, RadioField, UniformLossLinks
-from repro.radio.field import ELIGIBLE_IDLE, ELIGIBLE_NEVER, NO_CS, NO_TX_END
-from repro.sim import Simulator
+from repro.radio.field import ELIGIBLE_IDLE, ELIGIBLE_NEVER
+from repro.sim import Simulator, ms
 from tests.test_radio import make_mote
 
 
@@ -16,8 +16,7 @@ class TestSlotLifecycle:
         assert field.slot_of[7] == slot
         assert field.mote_ids[slot] == 7
         assert field.positions[slot].tolist() == [1.5, 2.5]
-        assert field.enabled[slot]
-        assert field.tx_end[slot] == NO_TX_END
+        assert field.eligible_key[slot] == ELIGIBLE_IDLE  # powered, not sending
         assert len(field) == 1
 
     def test_duplicate_allocate_rejected(self):
@@ -29,11 +28,10 @@ class TestSlotLifecycle:
     def test_release_resets_state_and_recycles_lifo(self):
         field = RadioField(capacity=4)
         a = field.allocate(1, (0.0, 0.0))
-        field.begin_tx(a, 100, 200)
+        field.begin_tx(a, 100)
         field.release(1)
         assert 1 not in field.slot_of
-        assert not field.enabled[a]
-        assert field.tx_end[a] == NO_TX_END
+        assert field.eligible_key[a] == ELIGIBLE_NEVER
         assert field.mote_ids[a] == -1
         # LIFO recycling keeps the arrays dense under churn.
         assert field.allocate(2, (3.0, 3.0)) == a
@@ -55,38 +53,29 @@ class TestSlotLifecycle:
         field = RadioField(capacity=2)
         slot = field.allocate(1, (0.0, 0.0))
         assert field.eligible_key[slot] == ELIGIBLE_IDLE
-        field.begin_tx(slot, 100, 200)
+        field.begin_tx(slot, 100)
         assert field.eligible_key[slot] == 100  # own tx start: < any overlap end
-        field.set_enabled(slot, False)
+        field.set_enabled(slot, False, 100)
         assert field.eligible_key[slot] == ELIGIBLE_NEVER
-        field.set_enabled(slot, True)
+        field.set_enabled(slot, True, 100)
         assert field.eligible_key[slot] == 100  # re-enabled mid-own-tx
         field.end_tx(slot)
         assert field.eligible_key[slot] == ELIGIBLE_IDLE
-        field.set_enabled(slot, False)
-        field.begin_tx(slot, 300, 400)
+        field.set_enabled(slot, False, None)
+        field.begin_tx(slot, 300)
         assert field.eligible_key[slot] == ELIGIBLE_NEVER  # disabled wins
         field.end_tx(slot)
         assert field.eligible_key[slot] == ELIGIBLE_NEVER
-
-    def test_cs_time_arms_and_clears(self):
-        field = RadioField(capacity=2)
-        slot = field.allocate(1, (0.0, 0.0))
-        assert field.cs_time[slot] == NO_CS
-        field.arm_cs(slot, 12345)
-        assert field.cs_time[slot] == 12345
-        field.clear_cs(slot)
-        assert field.cs_time[slot] == NO_CS
+        field.set_enabled(slot, True, None)
+        assert field.eligible_key[slot] == ELIGIBLE_IDLE
 
     def test_release_resets_sense_and_reception_state(self):
         field = RadioField(capacity=2)
         slot = field.allocate(1, (0.0, 0.0), attach_seq=9)
         assert field.attach_seq[slot] == 9
-        field.arm_cs(slot, 777)
         field.frames_received[slot] = 3
         field.release(1)
         assert field.eligible_key[slot] == ELIGIBLE_NEVER
-        assert field.cs_time[slot] == NO_CS
         assert field.attach_seq[slot] == -1
         assert field.frames_received[slot] == 0
         # A recycled slot starts clean for the next mote.
@@ -100,10 +89,8 @@ class TestSlotLifecycle:
         for i in range(1, 6):
             field.allocate(i, (float(i), 0.0), attach_seq=i)
         assert field.eligible_key.size == field.capacity
-        assert field.cs_time.size == field.capacity
         free = [s for s in range(field.capacity) if s not in field.slot_of.values()]
         assert all(field.eligible_key[s] == ELIGIBLE_NEVER for s in free)
-        assert all(field.cs_time[s] == NO_CS for s in free)
         assert all(field.attach_seq[s] == -1 for s in free)
         assert all(field.frames_received[s] == 0 for s in free)
 
@@ -140,28 +127,43 @@ class TestChannelMirrors:
         field = channel.field
         slot = radios[0]._slot
         radios[0].enabled = False
-        assert not field.enabled[slot]
+        assert field.eligible_key[slot] == ELIGIBLE_NEVER
         radios[0].enabled = True
-        assert field.enabled[slot]
+        assert field.eligible_key[slot] == ELIGIBLE_IDLE
 
     def test_tx_interval_mirrors_current_transmission(self):
         sim, channel, radios = self._deploy()
         field = channel.field
         slot = radios[0]._slot
-        seen = []
-        original_end = channel.end_transmission
+        began, ended = [], []
+        original_begin, original_end = channel.begin_transmission, channel.end_transmission
 
-        def spy(tx):
-            seen.append((int(field.tx_start[slot]), int(field.tx_end[slot])))
+        def spy_begin(tx):
+            began.append(int(field.eligible_key[slot]) == tx.start)
+            original_begin(tx)
+
+        def spy_end(tx):
+            ended.append(int(field.eligible_key[slot]))
             original_end(tx)
 
-        channel.end_transmission = spy
+        channel.begin_transmission = spy_begin
+        channel.end_transmission = spy_end
         radios[0].send(Frame(1, 2, 0x10, b"x"))
         sim.run_until_idle()
-        # At the sender's own end-of-frame the mirror is already idle —
-        # exactly like Radio._current_tx, which clears first.
-        assert seen == [(0, NO_TX_END)] or seen[0][1] == NO_TX_END
-        assert field.tx_end[slot] == NO_TX_END
+        # In flight the key is the sender's own start; at its end-of-frame
+        # the key is already idle — exactly like Radio._current_tx, which
+        # clears first.
+        assert began == [True]
+        assert ended == [ELIGIBLE_IDLE]
+        # A power cycle mid-flight restores the in-flight start.
+        radios[1].send(Frame(2, 1, 0x10, b"y"))
+        while not channel._on_air:
+            sim.run(duration=ms(1))
+        start = channel._on_air[0].start
+        radios[1].enabled = False
+        radios[1].enabled = True
+        assert field.eligible_key[radios[1]._slot] == start
+        sim.run_until_idle()
 
     def test_detach_frees_the_slot(self):
         sim, channel, radios = self._deploy()
@@ -170,21 +172,7 @@ class TestChannelMirrors:
         channel.detach(3)
         assert radios[2]._slot is None
         assert 3 not in field.slot_of
-        assert not field.enabled[slot]
-
-    def test_cs_time_mirrors_armed_carrier_sense(self):
-        sim, channel, radios = self._deploy()
-        channel.track_cs = True  # the shard-worker bookkeeping, off by default
-        field = channel.field
-        slot = radios[0]._slot
-        assert field.cs_time[slot] == NO_CS
-        radios[0].send(Frame(1, 2, 0x10, b"x"))
-        # The initial-backoff carrier-sense event is armed in the mirror —
-        # this is what the shard worker's horizon() min-reduces over.
-        assert field.cs_time[slot] != NO_CS
-        assert field.cs_time[slot] >= sim.now
-        sim.run_until_idle()
-        assert field.cs_time[slot] == NO_CS
+        assert field.eligible_key[slot] == ELIGIBLE_NEVER
 
     def test_attach_seq_mirrors_attach_order(self):
         sim, channel, radios = self._deploy()
@@ -210,7 +198,7 @@ class TestChannelMirrors:
         radio = channel.attach(make_mote(sim, 2, 7, 7))
         slot = radio._slot
         assert channel.field.positions[slot].tolist() == [7.0, 7.0]
-        assert channel.field.enabled[slot]
+        assert channel.field.eligible_key[slot] == ELIGIBLE_IDLE
 
 
 class TestLinkCacheRowArrays:

@@ -195,34 +195,41 @@ class TestChannel:
         assert len(got) >= 1
 
     def test_idle_carrier_sense_early_outs_before_any_index(self):
-        # Nothing on the air answers from one list check: no per-tick
-        # filtering, no audible-slot cache build, no field gather.
+        # Nothing on the air answers from one list check: no on-air scan,
+        # no hearer list built.
         sim, channel, radio_a, radio_b = self._pair()
-        channel.vector_sense_min = 1  # even "always vector" must not engage
         for _ in range(3):
             assert channel.busy_for(radio_a) is False
             assert channel.busy_for(radio_b) is False
         assert channel.sense_idle == 6
         assert channel.sense_scalar == 0
         assert channel.sense_vector == 0
-        assert channel._sense_tick == -1  # the per-tick memo never ran
-        assert channel._audible_slots == {}  # no audible-slot array was built
+        assert channel._hearers == {} and channel._hearer_ids == {}
 
-    def test_carrier_sense_dispatch_counters_split_on_threshold(self):
+    def test_pending_carrier_sense_clears_as_it_fires(self):
+        # The shard lookahead reads a non-None handle as a carrier sense
+        # still to come, so no handle may outlive its event.
         sim, channel, radio_a, radio_b = self._pair()
-        radio_a.send(Frame(1, 2, 0x10, b"x"))
-        while not channel._on_air:  # step past the initial backoff
-            sim.run(duration=ms(1))
-        # The MAC's own pre-send carrier sense already ran; count deltas.
-        idle, scalar, vector = channel.sense_idle, channel.sense_scalar, channel.sense_vector
-        channel.vector_sense_min = 1
-        assert channel.busy_for(radio_b) is True  # audible-slot gather
-        channel.vector_sense_min = len(channel._on_air) + 1
-        assert channel.busy_for(radio_b) is True  # scalar on-air scan
-        assert channel.sense_vector == vector + 1
-        assert channel.sense_scalar == scalar + 1
-        assert channel.sense_idle == idle
+        radio_a.send(Frame(1, 2, 0x10, b"x" * 20))
+        armed_a = radio_a._pending_carrier_sense
+        assert armed_a is not None and armed_a.time > sim.now
+        sim.run(until=armed_a.time)
+        assert radio_a._pending_carrier_sense is None  # fired: frame on the air
+        scans = channel.sense_scalar
+        assert channel.busy_for(radio_b) is True
+        assert channel.sense_scalar == scans + 1  # one on-air scan per call
+        # A busy carrier re-arms a congestion backoff: a fresh, later handle.
+        radio_b.send(Frame(2, 1, 0x10, b"y"))
+        armed_b = radio_b._pending_carrier_sense
+        assert armed_b.time < channel._on_air[0].end  # senses a's frame
+        sim.run(until=armed_b.time)
+        rearmed = radio_b._pending_carrier_sense
+        assert rearmed is not None and rearmed is not armed_b
+        assert rearmed.time > sim.now
         sim.run_until_idle()
+        assert radio_a._pending_carrier_sense is None
+        assert radio_b._pending_carrier_sense is None
+        idle = channel.sense_idle
         assert channel.busy_for(radio_b) is False
         assert channel.sense_idle == idle + 1
 

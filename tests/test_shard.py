@@ -178,3 +178,36 @@ def test_builtin_sharded_scenarios_parity(name):
     proc = ShardedRunner(scenario, mode="process").run()
     assert _counters(inline) == _counters(proc)
     assert inline.counters["coverage"] > 0
+
+
+# ---------------------------------------------------------------------------
+# lookahead: the grant never passes an armed boundary carrier sense
+
+
+def test_horizon_never_passes_an_armed_boundary_carrier_sense():
+    """An armed carrier sense of a boundary mote can start a seam frame at
+    its own fire time, so every grant must stop at or before it.  Drive
+    the inline protocol round by round, as ``ShardedRunner._run_inline``
+    does, and check each worker's horizon before it posts."""
+    scenario = Scenario.from_spec(SEAM_SPEC)
+    runner = ShardedRunner(scenario, mode="inline")
+    links = runner._links()
+    workers = [
+        ShardWorker(scenario, runner.partition, i, links[i]) for i in range(runner.shards)
+    ]
+    armed = 0
+    active = list(workers)
+    while active:
+        for worker in active:
+            horizon = worker.horizon()
+            for radio in worker._boundary_radios:
+                pending = radio._pending_carrier_sense
+                if pending is not None:
+                    assert horizon <= pending.time
+                    armed += 1
+            worker.post_rounds()
+        active = [w for w in active if not w.finished]
+        for worker in active:
+            worker.collect_rounds()
+            worker.advance()
+    assert armed > 0
