@@ -70,6 +70,12 @@ VECTOR_FANOUT_MIN = 16
 #: Unused (carrier sense has one path); kept because perfbench's manifest reports it.
 VECTOR_SENSE_MIN = 16
 
+#: Relative slack on the end-of-frame overlap prune's squared-distance
+#: bound: a few float roundings separate the prune's distance from the
+#: hearer lists' ``in_range`` tests, and this keeps any pair they could
+#: both pass (see :meth:`Channel.end_transmission`).
+_PRUNE_SLACK = 1.0 + 1e-9
+
 
 @dataclass
 class MacParams:
@@ -89,7 +95,10 @@ class Transmission:
     #: Other transmissions whose airtime intersects this one's, collected
     #: incrementally while both are on the air (see
     #: :meth:`Channel.begin_transmission`) — the collision set, precomputed,
-    #: so end-of-frame never scans transmission history.
+    #: so end-of-frame never scans transmission history.  End-of-frame
+    #: prunes it to the frames that can share a hearer with this one and
+    #: then releases it (``None``), so an ended frame links to nothing and
+    #: the frames it overlapped can be collected once they end too.
     overlaps: list["Transmission"] | None = None
     #: Fault injection: a corrupted frame occupies the air (carrier sense and
     #: collision accounting stay exact) but fails CRC at every receiver, so
@@ -580,21 +589,29 @@ class Channel:
         return selected[np.argsort(field.attach_seq[selected])]
 
     def hearers(self, radio: Radio) -> list[Radio]:
-        """Radios the link model lets hear ``radio``, in attach order."""
+        """Radios the link model lets hear ``radio``, in attach order.
+
+        Cached per mote id while the radio is attached.  A radio that
+        detached with a frame still on the air is in no spatial-hash cell,
+        so no later :meth:`move` or :meth:`detach` would drop a list cached
+        for it, and a re-attached radio may reuse its id: its audience is
+        recomputed on every call instead.
+        """
         mote_id = radio.mote.id
-        cached = self._hearers.get(mote_id)
-        if cached is not None:
-            return cached
+        detached = radio._slot is None
+        if not detached:
+            cached = self._hearers.get(mote_id)
+            if cached is not None:
+                return cached
         self._ensure_cells()
         if hasattr(self._link_model, "in_range_mask"):
             slots = self._selected_slots(radio.position, radio._slot)
             radios = self._radios
             ids = self.field.mote_ids[slots].tolist()
             audience = [radios[mote] for mote in ids]
-            self._hearer_slots[mote_id] = slots
-            self._hearer_ids[mote_id] = frozenset(ids)
         else:
             # Scalar fallback for link models without the vector hook.
+            slots = None
             in_range = self._link_model.in_range
             position = radio.position
             radios = self._radios
@@ -607,15 +624,29 @@ class Channel:
                 and in_range(position, other.position)
             ]
             audience.sort(key=lambda r: r._attach_seq)
-            self._hearer_ids[mote_id] = frozenset(r.mote.id for r in audience)
+            ids = [r.mote.id for r in audience]
+        if detached:
+            return audience
+        if slots is not None:
+            self._hearer_slots[mote_id] = slots
+        self._hearer_ids[mote_id] = frozenset(ids)
         self._hearers[mote_id] = audience
         return audience
 
+    def _audible_ids(self, radio: Radio) -> frozenset[int]:
+        """The mote ids of ``hearers(radio)``, cached with the list while
+        ``radio`` is attached."""
+        audience = self.hearers(radio)
+        if radio._slot is None:
+            return frozenset(r.mote.id for r in audience)
+        return self._hearer_ids[radio.mote.id]
+
     def _can_hear(self, src: Radio, dst: Radio) -> bool:
         """Is ``src``'s carrier audible at ``dst``?  O(1) after caching."""
-        if src.mote.id not in self._hearer_ids:
-            self.hearers(src)
-        return dst.mote.id in self._hearer_ids[src.mote.id]
+        ids = self._hearer_ids.get(src.mote.id)
+        if ids is None or src._slot is None:
+            ids = self._audible_ids(src)
+        return dst.mote.id in ids
 
     def radio_for(self, mote_id: int) -> Radio | None:
         return self._radios.get(mote_id)
@@ -702,9 +733,17 @@ class Channel:
         The transmissions that overlap ``tx`` were recorded while both were
         on the air (:meth:`begin_transmission`), so the collision check scans
         a precomputed (usually absent or tiny) overlap list and never touches
-        transmission history.
+        transmission history.  Before either fan-out path runs, that list
+        drops every frame whose transmitter is more than twice the link
+        range from ``tx``'s: by the triangle inequality no radio can hear
+        both, and both sides are judged at the same end-of-frame positions
+        the hearer lists use, so the prune is exact under any move or
+        detach.  (An unbounded link model has no range: nothing is pruned.)
+        The list is then released (``tx.overlaps = None``), corrupted frame
+        or not, so ended frames do not pin the run's transmission history.
         """
         self._on_air.remove(tx)
+        overlaps, tx.overlaps = tx.overlaps, None
         if tx.corrupted:
             # Injected corruption: the frame jammed the medium for its full
             # airtime but no receiver passes CRC — no eligibility checks, no
@@ -714,26 +753,46 @@ class Channel:
         hearers = self.hearers(tx.radio)
         if not hearers:
             return  # nobody in range: skip the fan-out entirely
+        if overlaps and self._cell_size > 0.0:
+            overlaps = self._near_overlaps(tx.radio.position, overlaps)
         if len(hearers) >= self.vector_fanout_min:
-            self._fan_out_vector(tx, hearers)
+            self._fan_out_vector(tx, hearers, overlaps)
         else:
-            self._fan_out_scalar(tx, hearers)
+            self._fan_out_scalar(tx, hearers, overlaps)
 
-    def _fan_out_scalar(self, tx: Transmission, hearers: list[Radio]) -> None:
+    def _near_overlaps(
+        self, position: Position, overlaps: list[Transmission]
+    ) -> list[Transmission]:
+        """The frames of ``overlaps`` sent from within twice the link range
+        (the spatial hash's cell size) of ``position``, in order."""
+        reach = 2.0 * self._cell_size
+        limit = reach * reach * _PRUNE_SLACK
+        x, y = position
+        near = []
+        for other in overlaps:
+            ox, oy = other.radio.position
+            dx = ox - x
+            dy = oy - y
+            if dx * dx + dy * dy <= limit:
+                near.append(other)
+        return near
+
+    def _fan_out_scalar(
+        self,
+        tx: Transmission,
+        hearers: list[Radio],
+        overlaps: list[Transmission] | None,
+    ) -> None:
         """The per-receiver delivery loop, optimal for narrow audiences."""
         # Resolve each overlapping transmitter's hearer-id set once up front:
         # the set is shared by all receivers, so the per-receiver collision
         # check becomes a set membership.
         overlapping = None
         start, end = tx.start, tx.end
-        if tx.overlaps:
-            for other in tx.overlaps:
-                other_id = other.radio.mote.id
-                if other_id not in self._hearer_ids:
-                    self.hearers(other.radio)
-                if overlapping is None:
-                    overlapping = []
-                overlapping.append((other.radio, self._hearer_ids[other_id]))
+        if overlaps:
+            overlapping = [
+                (other.radio, self._audible_ids(other.radio)) for other in overlaps
+            ]
         # Pass 1: who can receive at all.
         receivers = None
         for radio in hearers:
@@ -798,20 +857,30 @@ class Channel:
     # ------------------------------------------------------------------
     # Vectorized fan-out
     # ------------------------------------------------------------------
-    def _slots_for(self, tx_id: int, audience: list[Radio]) -> "np.ndarray":
-        """Field-slot array for a cached hearer list, memoized alongside it.
+    def _slots_for(self, radio: Radio, audience: list[Radio]) -> "np.ndarray":
+        """Field-slot array for ``radio``'s hearer list, memoized alongside it.
 
         ``_hearer_slots`` is dropped by exactly the hooks that drop
         ``_hearers`` (and slots are stable for the lifetime of an
         attachment), so a cached array is always consistent with the list.
+        A detached radio's list is never cached (see :meth:`hearers`), and
+        neither is its slot array.
         """
-        slots = self._hearer_slots.get(tx_id)
+        if radio._slot is None:
+            return self.field.slots_of([r.mote.id for r in audience])
+        mote_id = radio.mote.id
+        slots = self._hearer_slots.get(mote_id)
         if slots is None:
             slots = self.field.slots_of([r.mote.id for r in audience])
-            self._hearer_slots[tx_id] = slots
+            self._hearer_slots[mote_id] = slots
         return slots
 
-    def _fan_out_vector(self, tx: Transmission, hearers: list[Radio]) -> None:
+    def _fan_out_vector(
+        self,
+        tx: Transmission,
+        hearers: list[Radio],
+        overlaps: list[Transmission] | None,
+    ) -> None:
         """The three delivery passes as array operations over the field.
 
         Stream discipline: exactly one double is drawn per *eligible*
@@ -824,18 +893,18 @@ class Channel:
         field = self.field
         tx_radio = tx.radio
         tx_id = tx_radio.mote.id
-        slots = self._slots_for(tx_id, hearers)
+        slots = self._slots_for(tx_radio, hearers)
         end = tx.end
         # Pass 1: eligibility (powered, not mid-transmission) fused into a
         # single gather + compare (see ``RadioField.eligible_key``).
         eligible = field.eligible_key[slots] >= end
-        if tx.overlaps:
+        if overlaps:
             # Collision mask: mark every slot each overlapping transmitter
             # reaches (plus its own — half-duplex, a radio hears itself) in
             # the capacity-sized scratch, gather at the hearer slots, then
             # un-mark only what was touched.  O(sum of overlap degrees + n).
             mark = field.scratch_bool
-            marked = self._mark_overlaps(tx, mark)
+            marked = self._mark_overlaps(overlaps, mark)
             collided = mark[slots]
             for oslots in marked:
                 mark[oslots] = False
@@ -900,26 +969,24 @@ class Channel:
                     callback(frame)
 
     def _mark_overlaps(
-        self, tx: Transmission, mark: "np.ndarray"
-    ) -> list["np.ndarray"]:
-        """Set ``mark`` at every slot corrupted by ``tx``'s overlap set;
-        returns the index arrays to un-mark afterwards."""
-        marked: list["np.ndarray"] = []
-        assert tx.overlaps is not None
-        for other in tx.overlaps:
+        self, overlaps: list[Transmission], mark: "np.ndarray"
+    ) -> list["np.ndarray | int"]:
+        """Set ``mark`` at every slot corrupted by the ``overlaps`` frames;
+        returns the slot arrays and single slots to un-mark afterwards."""
+        marked: list["np.ndarray | int"] = []
+        for other in overlaps:
             other_radio = other.radio
-            other_id = other_radio.mote.id
-            oslots = self._slots_for(other_id, self.hearers(other_radio))
+            oslots = self._slots_for(other_radio, self.hearers(other_radio))
             mark[oslots] = True
             marked.append(oslots)
-            # The transmitter's own slot — but only while it still owns it:
+            # The transmitter's own slot, if it still holds one:
             # a detached-mid-flight transmitter's slot may have been recycled
             # to a different radio (and a detached radio cannot be a hearer
             # anyway, so skipping it loses nothing).
-            if self._radios.get(other_id) is other_radio:
-                own = other_radio._slot
+            own = other_radio._slot
+            if own is not None:
                 mark[own] = True
-                marked.append(np.array([own], dtype=np.intp))
+                marked.append(own)
         return marked
 
     def _gather_overrides(

@@ -326,10 +326,12 @@ from repro.sim.units import ms  # noqa: E402
 
 
 class _NaiveChannel(Channel):
-    """The pre-cache, pre-batching reference: every frame recomputes each
-    receiver's PRR from the link model, rediscovers its overlap set from a
-    full transmission log, and resolves reception inline, one receiver at a
-    time — the PR 3 delivery loop, verbatim in spirit."""
+    """The pre-cache, pre-batching reference: every frame takes its audiences
+    straight from the link model's ``in_range`` over the attached radios,
+    recomputes each receiver's PRR, rediscovers its overlap set from a full
+    transmission log, and resolves reception inline, one receiver at a time
+    — the PR 3 delivery loop, verbatim in spirit, minus every hearer cache
+    (so a stale cached audience shows up as a divergence)."""
 
     def begin_transmission(self, tx) -> None:
         history = getattr(self, "_history", None)
@@ -337,6 +339,15 @@ class _NaiveChannel(Channel):
             history = self._history = []
         history.append(tx)
         super().begin_transmission(tx)
+
+    def _audience(self, radio):
+        """Attached radios in range of ``radio`` now, in attach order."""
+        in_range = self._link_model.in_range
+        return [
+            other
+            for other in self._radios.values()
+            if other is not radio and in_range(radio.position, other.position)
+        ]
 
     def end_transmission(self, tx) -> None:
         self._on_air.remove(tx)
@@ -349,18 +360,16 @@ class _NaiveChannel(Channel):
                 and other.start < end
                 and other.end > start
             ):
-                other_id = other.radio.mote.id
-                if other_id not in self._hearer_ids:
-                    self.hearers(other.radio)
+                audible_ids = {radio.mote.id for radio in self._audience(other.radio)}
                 if overlapping is None:
                     overlapping = []
-                overlapping.append((other.radio, self._hearer_ids[other_id]))
+                overlapping.append((other.radio, audible_ids))
         tx_id = tx.radio.mote.id
         tx_position = tx.radio.position
         overrides = self.prr_overrides
         link_prr = self._link_model.prr
         random = self.rng.random
-        for radio in self.hearers(tx.radio):
+        for radio in self._audience(tx.radio):
             if not radio._enabled:
                 continue
             receiver_tx = radio._current_tx

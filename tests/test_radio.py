@@ -233,6 +233,66 @@ class TestChannel:
         assert channel.busy_for(radio_b) is False
         assert channel.sense_idle == idle + 1
 
+    def _detach_mid_flight(self, sense_between):
+        """Radio 1 of three (x = 0, 1, 2 m; 10 m range) detaches with its
+        frame on the air, then radio 3 moves out of range before the frame
+        ends.  Returns (prr_drops, the channel's next draw)."""
+        sim = Simulator(seed=0)
+        channel = Channel(sim, PerfectLinks(range_m=10.0))
+        radios = [
+            channel.attach(make_mote(sim, i + 1, i, 0), (float(i), 0.0)) for i in range(3)
+        ]
+        radios[0].send(Frame(1, BROADCAST_ID, 0x10, b"x"))
+        sim.run(until=radios[0]._pending_carrier_sense.time)
+        assert channel._on_air  # radio 1's frame is on the air
+        channel.detach(1)
+        if sense_between:
+            assert channel.busy_for(radios[1]) is True
+        channel.move(3, (50.0, 0.0))
+        sim.run_until_idle()
+        return channel.prr_drops, channel.rng.random()
+
+    def test_detached_transmitter_audience_follows_later_moves(self):
+        # A detached radio sits in no spatial-hash cell, so a hearer list
+        # cached for it (here by carrier sense) would miss radio 3's move
+        # and draw a loss for a radio 50 m away.  Whether anyone sensed the
+        # carrier in between must not change the frame's outcome.
+        unsensed = self._detach_mid_flight(sense_between=False)
+        assert unsensed[0] == 0
+        assert self._detach_mid_flight(sense_between=True) == unsensed
+
+    def test_ended_frames_are_not_pinned_by_a_busy_air(self):
+        # Staggered 25 µs frames every 10 µs from three radios keep the air
+        # busy throughout, each frame overlapping the next two.  Once the
+        # chain has moved on, nothing may still reach its first frame.
+        import gc
+        import weakref
+
+        from repro.radio import Transmission
+
+        sim = Simulator(seed=0)
+        channel = Channel(sim, PerfectLinks(range_m=10.0))
+        radios = [
+            channel.attach(make_mote(sim, i + 1, i, 0), (float(i), 0.0)) for i in range(3)
+        ]
+        airborne = []
+        first = None
+        for k in range(12):
+            start = 10 * k
+            while airborne and airborne[0].end <= start:
+                channel.end_transmission(airborne.pop(0))
+            tx = Transmission(
+                radios[k % 3], Frame(k % 3 + 1, BROADCAST_ID, 0x10, b"x"), start, start + 25
+            )
+            channel.begin_transmission(tx)
+            airborne.append(tx)
+            if first is None:
+                first = weakref.ref(tx)
+        del tx
+        assert len(channel._on_air) == 3  # the air never went idle
+        gc.collect()
+        assert first() is None
+
     def test_duplicate_attach_rejected(self):
         sim = Simulator()
         channel = Channel(sim)
@@ -432,3 +492,30 @@ class TestVectorFanOut:
         channel.end_transmission(tx_c)
         assert got == []
         assert channel.collisions == 2
+
+    @pytest.mark.parametrize("vector_min", (1, 10_000))
+    def test_overlap_prune_keeps_every_pair_that_can_share_a_hearer(self, vector_min):
+        # 10 m range.  A (0 m) and B (20 m) are exactly twice the range
+        # apart and C (10 m) hears both, so B's frame must still corrupt
+        # A's at C.  D (-21 m) is farther than twice the range from A: no
+        # radio can hear both, so A's fan-out never looks D's audience up.
+        from repro.radio import Transmission
+
+        sim = Simulator(seed=0)
+        channel = Channel(sim, PerfectLinks(range_m=10.0))
+        channel.vector_fanout_min = vector_min
+        a, b, c, d = (
+            channel.attach(make_mote(sim, i + 1, i, 0), (x, 0.0))
+            for i, x in enumerate((0.0, 20.0, 10.0, -21.0))
+        )
+        got = []
+        c.set_receive_callback(got.append)
+        frames = [
+            Transmission(radio, Frame(radio.mote.id, BROADCAST_ID, 0x10, b"x"), 0, 100)
+            for radio in (a, b, d)
+        ]
+        for tx in frames:
+            channel.begin_transmission(tx)
+        channel.end_transmission(frames[0])
+        assert got == [] and channel.collisions == 1
+        assert b.mote.id in channel._hearers and d.mote.id not in channel._hearers

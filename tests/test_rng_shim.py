@@ -9,7 +9,10 @@ replace.
 
 import random
 
+import pytest
+
 from repro.radio import Channel, CompatRng, Frame, PerfectLinks
+from repro.radio.rngshim import BLOCK_WORDS
 from repro.sim import Simulator, ms
 from tests.test_radio import make_mote
 
@@ -70,6 +73,96 @@ class TestStreamEquivalence:
             # Interleave scalar traffic between vector draws.
             assert vec.random() == scalar.random()
             assert vec.randint(800, 25_600) == scalar.randint(800, 25_600)
+
+
+def _at_unread(seed, unread):
+    """A shim and a stdlib twin with ``unread`` words left in the shim's
+    first block: draws from here on straddle its first refill."""
+    ours, theirs = CompatRng(seed), random.Random(seed)
+    for _ in range(BLOCK_WORDS - unread):
+        assert ours.getrandbits(32) == theirs.getrandbits(32)
+    return ours, theirs
+
+
+def _assert_lockstep(ours, theirs, draws=8):
+    """The two streams continue identically past the draw under test."""
+    for _ in range(draws):
+        assert ours.random() == theirs.random()
+        assert ours.randint(800, 25_600) == theirs.randint(800, 25_600)
+
+
+class TestWordBuffer:
+    """Every draw is served from a buffer of raw MT words refilled a block at
+    a time; the words a refill finds unread carry over.  A draw that needs
+    words from both sides of a refill must read them in stream order."""
+
+    @pytest.mark.parametrize("unread", range(5))
+    def test_each_draw_kind_straddles_a_refill(self, unread):
+        kinds = [
+            lambda rng: rng.random(),
+            lambda rng: rng.randint(400, 12_800),
+            lambda rng: rng.getrandbits(70),  # three words per draw
+            lambda rng: rng.random_vector(5).tolist(),
+        ]
+        twins = [
+            lambda rng: rng.random(),
+            lambda rng: rng.randint(400, 12_800),
+            lambda rng: rng.getrandbits(70),
+            lambda rng: [rng.random() for _ in range(5)],
+        ]
+        for draw, twin in zip(kinds, twins):
+            ours, theirs = _at_unread("straddle", unread)
+            for _ in range(3):
+                assert draw(ours) == twin(theirs)
+            _assert_lockstep(ours, theirs)
+
+    @pytest.mark.parametrize("unread", (0, 1, 7))
+    def test_vector_draw_longer_than_a_block(self, unread):
+        ours, theirs = _at_unread("long vector", unread)
+        count = BLOCK_WORDS + 3  # 2 words per double: over two blocks' worth
+        assert ours.random_vector(count).tolist() == [
+            theirs.random() for _ in range(count)
+        ]
+        _assert_lockstep(ours, theirs)
+
+    @pytest.mark.parametrize("unread", range(4))
+    def test_width_one_rejection_loop_across_a_refill(self, unread):
+        # randint(5, 5) draws 1-bit words until one is 0: every rejected
+        # word is consumed, including the ones that trigger a refill.
+        ours, theirs = _at_unread("width one", unread)
+        for _ in range(6):
+            assert ours.randint(5, 5) == theirs.randint(5, 5) == 5
+        _assert_lockstep(ours, theirs)
+
+    def test_mixed_operations_over_many_seeds(self):
+        for seed in range(120):
+            material = f"{seed}/channel"
+            ours, theirs = CompatRng(material), random.Random(material)
+            driver = random.Random(seed)  # stream-shape chooser, not under test
+            for _ in range(400):
+                op = driver.randrange(5)
+                if op == 0:
+                    assert ours.random() == theirs.random()
+                elif op == 1:
+                    assert ours.randint(400, 12_800) == theirs.randint(400, 12_800)
+                elif op == 2:
+                    assert ours.getrandbits(70) == theirs.getrandbits(70)
+                elif op == 3:
+                    count = driver.randint(0, 60)
+                    assert ours.random_vector(count).tolist() == [
+                        theirs.random() for _ in range(count)
+                    ]
+                else:
+                    assert ours.randint(5, 5) == theirs.randint(5, 5)
+
+    def test_vector_draw_is_read_only(self):
+        # The vector is a view into the shared buffer: a caller writing
+        # through it would corrupt later draws.
+        rng = CompatRng("read only")
+        drawn = rng.random_vector(4)
+        assert not drawn.flags.writeable
+        with pytest.raises(ValueError):
+            drawn[0] = 0.5
 
 
 class TestChannelStreamCompatibility:
