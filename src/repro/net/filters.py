@@ -24,20 +24,16 @@ class NeighborSetFilter:
     deployment layer derives each node's accepted senders from the topology's
     neighbor relation (plus any bridge edges) once, and the per-frame check is
     a single set lookup.  Unknown senders are dropped.
+
+    A network stack without observers never calls an installed one: it
+    copies :attr:`accepted` into its radio's acceptance rule, so the channel
+    refuses unknown senders before any callback runs.  Widen an installed
+    filter through ``NetworkStack.admit_senders``, which keeps the two in
+    step.
     """
 
     def __init__(self, accepted_ids: Iterable[int]):
         self.accepted = frozenset(accepted_ids)
-
-    def extend(self, accepted_ids: Iterable[int]) -> None:
-        """Admit additional senders after installation.
-
-        The sharded runtime widens boundary nodes' accepted sets with their
-        cross-seam topology neighbors (mirrored into this shard as ghost
-        radios).  The stack's compiled dispatch closure holds this filter
-        object, so mutating :attr:`accepted` takes effect immediately.
-        """
-        self.accepted = self.accepted | frozenset(accepted_ids)
 
     def __call__(self, frame: Frame) -> bool:
         return frame.src in self.accepted

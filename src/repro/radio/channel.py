@@ -24,6 +24,18 @@ loss draws collapse into one ``rng.random_vector(n)`` call.  The
 draw consumes the MT19937 stream exactly like the scalar per-receiver loop,
 so fixed-seed runs are bit-identical whichever path a frame takes.
 
+Each reception then meets the receiver's acceptance rule before any Python
+callback runs (:meth:`Radio.set_acceptance`): either promiscuous (every
+frame, the default) or addressed — broadcasts and frames to the radio's own
+mote id only, optionally from a set of accepted senders alone.  The vector
+pass splits the receivers with a code vector cached per transmitter beside
+its hearer slots (hand up, promiscuous, sender refused, no handler) and,
+for a unicast, one compare of the receivers' mote ids with the
+destination; :meth:`Radio.deliver` is the one-receiver reference for both
+paths.  On a dense flood, 95% of receptions are another mote's unicast or
+a refused sender's broadcast, so this hand-off decides far more frames
+than the stacks do.
+
 Carrier sense is one early-exit scan: ``busy_for`` walks the handful of
 on-air transmissions and stops at the first one audible at the sensing
 radio (nothing on the air costs one list check).  The hearer queries are
@@ -38,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import RadioError
 from repro.mote.mote import Mote
@@ -56,19 +68,32 @@ EFFECTIVE_BITRATE = 19_200
 #: Audience size at which :meth:`Channel.end_transmission` switches from the
 #: scalar per-receiver loop to the vectorized field pass.  Both paths consume
 #: the RNG stream identically, so this is purely a throughput knob: numpy's
-#: per-call overhead (~8 array ops + one vector draw) only amortizes once the
-#: fan-out is wide enough.  Fusing the eligibility gathers into the single
-#: ``eligible_key`` compare, batching cache fills, and keeping the whole
-#: pass in slot space (no index-array materialization) put the measured
-#: break-even at 16 hearers (warm cache, ``bench fanout`` break-even sweep —
-#: see ``results/fanout.txt``); audiences below that stay on the scalar
-#: loop, where the early-exit dict row is still faster.  End to end the
-#: traced benchmark runs fan out 100% vector on ``flood-dense`` and 0% on
+#: per-call overhead (~8 array ops + one vector draw, and ~8 more for the
+#: acceptance-rule hand-off) only amortizes once the fan-out is wide enough.
+#: The ``bench fanout`` break-even sweep, whose radios carry a callback
+#: behind a network stack's rule, puts it at 32 hearers (warm cache; see
+#: ``results/fanout.txt``); audiences below that stay on the scalar loop,
+#: which also never builds their dense PRR rows.  End to end the traced
+#: benchmark runs fan out 89% vector on ``flood-dense`` and 0% on
 #: ``flood-mobile``, so both paths carry a workload.
-VECTOR_FANOUT_MIN = 16
+VECTOR_FANOUT_MIN = 32
 
 #: Unused (carrier sense has one path); kept because perfbench's manifest reports it.
 VECTOR_SENSE_MIN = 16
+
+#: Hand-off codes, one per hearer of a transmitter (see
+#: :meth:`Channel._codes_for`): what a received broadcast from that
+#: transmitter does at the hearer.
+_NO_HANDLER = 0  # no receive callback: counted as received, nothing more
+_REJECTED = 1  # the rule refuses the sender: counted in ``frames_rejected``
+_HAND_UP = 2  # the receive callback is called
+_PROMISCUOUS = 3  # the receive callback is called, whatever the destination
+#: The codes read as tables (a gather is the cheapest numpy op on a
+#: fan-out's few dozen receivers): does the callback run, is a refusal
+#: tallied, and what a code becomes at a unicast's other receivers.
+_CALLS = np.array([False, False, True, True])
+_REFUSES = np.array([False, True, False, False])
+_ELSEWHERE = np.array([_NO_HANDLER, _NO_HANDLER, _NO_HANDLER, _PROMISCUOUS], dtype=np.intp)
 
 #: Relative slack on the end-of-frame overlap prune's squared-distance
 #: bound: a few float roundings separate the prune's distance from the
@@ -119,6 +144,11 @@ class Radio:
         #: the radio sleeps instead of firing and no-op'ing every period.
         self.power_listeners: list[Callable[[bool], None]] = []
         self._receive_callback: Callable[[Frame], None] | None = None
+        #: The acceptance rule (see :meth:`set_acceptance`): whether the
+        #: radio answers only to its own mote id (``False``: every frame),
+        #: and the senders it takes frames from (``None``: any sender).
+        self._addressed = False
+        self._senders: frozenset[int] | None = None
         self._current_tx: Transmission | None = None
         self._send_pending = False
         self._pending_carrier_sense = None  # armed backoff's EventHandle; None once fired
@@ -130,6 +160,7 @@ class Radio:
         # presents the sum.
         self.frames_sent = 0
         self._frames_received = 0
+        self._frames_rejected = 0
         self.bytes_sent = 0
 
     # ------------------------------------------------------------------
@@ -175,14 +206,57 @@ class Radio:
             self.channel.field.frames_received[slot] = 0
         self._frames_received = int(value)
 
-    def set_receive_callback(self, callback: Callable[[Frame], None]) -> None:
-        """Install the link-layer receive handler (one per radio)."""
+    @property
+    def frames_rejected(self) -> int:
+        """Received frames the acceptance rule withheld for their sender."""
+        slot = self._slot
+        if slot is None:
+            return self._frames_rejected
+        return self._frames_rejected + int(self.channel.field.frames_rejected[slot])
+
+    def set_receive_callback(self, callback: Callable[[Frame], None] | None) -> None:
+        """Install the link-layer receive handler (one per radio).
+
+        The channel calls it with each received frame that the radio's
+        acceptance rule takes (see :meth:`set_acceptance`; a raw radio is
+        promiscuous and takes every frame), after the whole fan-out's loss
+        draws.  :meth:`deliver` is the one-receiver reference.  A callback
+        may not change another radio's callback or rule: the vector fan-out
+        decides every receiver's hand-off before it calls the first one.
+        """
         # The channel counts installed handlers so the vector fan-out can
-        # skip the per-receiver callback loop outright on handler-free
-        # fields (benchmark rigs, ghost-only seams).
+        # skip the hand-off outright on handler-free fields (benchmark rigs,
+        # ghost-only seams); a flip also changes the hand-off codes.
         if (callback is None) != (self._receive_callback is None):
             self.channel._receive_callbacks += 1 if callback is not None else -1
+            self.channel._hearer_codes.clear()
         self._receive_callback = callback
+
+    def set_acceptance(
+        self, addressed: bool, senders: Iterable[int] | None = None
+    ) -> None:
+        """Say which received frames the receive callback is handed.
+
+        ``addressed``: hand up broadcasts and frames addressed to this
+        radio's mote id only, and drop other motes' unicasts silently;
+        ``False`` is promiscuous, every frame (a raw radio's rule).
+        ``senders`` (addressed radios only): frames from any other sender
+        are dropped and counted in :attr:`frames_rejected`; ``None``
+        accepts every sender.  The channel applies the rule during the
+        fan-out, so a frame the rule drops never reaches the callback.  A
+        network stack derives its rule from its own configuration (its
+        observers, its neighbor-set filter).
+        """
+        if senders is not None:
+            if not addressed:
+                raise RadioError("a promiscuous radio takes every sender")
+            senders = frozenset(senders)
+        addressed = bool(addressed)
+        if addressed == self._addressed and senders == self._senders:
+            return
+        self._addressed = addressed
+        self._senders = senders
+        self.channel._hearer_codes.clear()
 
     @property
     def sending(self) -> bool:
@@ -273,10 +347,23 @@ class Radio:
         return tx is not None and tx.start < end and tx.end > start
 
     def deliver(self, frame: Frame) -> None:
-        """Hand a successfully received frame to the link-layer handler."""
+        """Count one successful reception and hand it up if the rule takes it.
+
+        The one-receiver reference for the channel's batched hand-off: both
+        fan-out paths make exactly these decisions.
+        """
         self._frames_received += 1
-        if self._receive_callback is not None:
-            self._receive_callback(frame)
+        callback = self._receive_callback
+        if callback is None:
+            return
+        if self._addressed:
+            if not frame.is_broadcast and frame.dest != self.mote.id:
+                return  # another mote's unicast
+            senders = self._senders
+            if senders is not None and frame.src not in senders:
+                self._frames_rejected += 1
+                return
+        callback(frame)
 
 
 class Channel:
@@ -342,6 +429,10 @@ class Channel:
         self._hearers: dict[int, list[Radio]] = {}
         self._hearer_ids: dict[int, frozenset[int]] = {}
         self._hearer_slots: dict[int, "np.ndarray"] = {}
+        #: Hand-off codes aligned with ``_hearer_slots`` (see
+        #: :meth:`_codes_for`): dropped with it, and cleared outright
+        #: whenever any radio's rule or handler presence changes.
+        self._hearer_codes: dict[int, "np.ndarray"] = {}
         #: Spatial hash: cell -> field slots of the radios in it (cell size =
         #: radio range), the index base a hearer query concatenates.
         self._cells: dict[tuple[int, int], list[int]] | None = None
@@ -425,12 +516,14 @@ class Channel:
         self._hearers.clear()
         self._hearer_ids.clear()
         self._hearer_slots.clear()
+        self._hearer_codes.clear()
         self._cells = None
 
     def _drop_cached(self, mote_id: int) -> None:
         self._hearers.pop(mote_id, None)
         self._hearer_ids.pop(mote_id, None)
         self._hearer_slots.pop(mote_id, None)
+        self._hearer_codes.pop(mote_id, None)
 
     def _drop_cached_near(self, position: Position) -> None:
         """Drop the cached hearer lists of every radio within one cell of
@@ -514,9 +607,10 @@ class Channel:
                     if not bucket:
                         del self._cells[cell]
         self._drop_cached(mote_id)
-        # Fold the vector-path reception tally back into the radio before
-        # its slot (and the array entry) is recycled.
+        # Fold the vector-path tallies back into the radio before its slot
+        # (and the array entries) is recycled.
         radio._frames_received += int(self.field.frames_received[radio._slot])
+        radio._frames_rejected += int(self.field.frames_rejected[radio._slot])
         # Free the field slot last: the ``enabled`` setter above still wrote
         # through it.  The released slot reads disabled/idle until reused.
         self.field.release(mote_id)
@@ -719,7 +813,11 @@ class Channel:
         PRR resolution — overrides first, then the memoized link cache — and
         the Bernoulli loss draws are all decided before any surviving frame
         is handed up the stacks, which also means nothing a handler does can
-        alter this frame's own outcomes.
+        alter this frame's own outcomes.  A receiver's acceptance rule then
+        decides whether its callback runs at all (see :meth:`Radio.deliver`);
+        the vector path decides that for every receiver before it calls the
+        first, so a callback may not change another radio's callback or
+        rule (none does: a stack's closure only posts tasks and counts).
 
         Narrow audiences take the scalar per-receiver loop; at
         :attr:`vector_fanout_min` hearers and above the same three passes run
@@ -848,11 +946,21 @@ class Channel:
         # Inlines Radio.deliver: one function hop per reception matters at
         # 1000 nodes where fan-out is the profile's top line.
         frame = tx.frame
+        src = frame.src
+        dest = None if frame.is_broadcast else frame.dest
         for radio in delivered:
             radio._frames_received += 1
             callback = radio._receive_callback
-            if callback is not None:
-                callback(frame)
+            if callback is None:
+                continue
+            if radio._addressed:
+                if dest is not None and radio.mote.id != dest:
+                    continue
+                senders = radio._senders
+                if senders is not None and src not in senders:
+                    radio._frames_rejected += 1
+                    continue
+            callback(frame)
 
     # ------------------------------------------------------------------
     # Vectorized fan-out
@@ -951,8 +1059,10 @@ class Channel:
             prrs[override_mask] = override_values[override_mask]
         # Pass 3: every receiver's Bernoulli outcome from one vector draw,
         # reception tallies as one fancy increment (receiver slots are
-        # unique, so ``+= 1`` cannot lose updates), and the Python loop only
-        # when somebody actually installed a receive handler.
+        # unique, so ``+= 1`` cannot lose updates), then the hand-off —
+        # only when somebody actually installed a receive handler.  The
+        # receivers' acceptance rules pick the callbacks with array ops
+        # (Radio.deliver decides the same, one receiver at a time).
         success = self.rng.random_vector(n) < prrs
         delivered = int(np.count_nonzero(success))
         self.prr_drops += n - delivered
@@ -960,13 +1070,60 @@ class Channel:
             return
         dslots = rslots[success]
         field.frames_received[dslots] += 1
-        if self._receive_callbacks:
-            frame = tx.frame
-            radios = self._radios
-            for mote_id in field.mote_ids[dslots].tolist():
-                callback = radios[mote_id]._receive_callback
-                if callback is not None:
-                    callback(frame)
+        if not self._receive_callbacks:
+            return
+        frame = tx.frame
+        codes = self._codes_for(tx_radio, frame.src, hearers)[eligible][success]
+        if not frame.is_broadcast:
+            # A unicast is for its addressee and promiscuous radios alone.
+            codes = np.where(
+                field.mote_ids[dslots] == frame.dest, codes, _ELSEWHERE[codes]
+            )
+        rejected = dslots[_REFUSES[codes]]
+        if rejected.size:
+            field.frames_rejected[rejected] += 1
+        radios = self._radios
+        for mote_id in field.mote_ids[dslots[_CALLS[codes]]].tolist():
+            callback = radios[mote_id]._receive_callback
+            if callback is not None:
+                callback(frame)
+
+    def _codes_for(self, radio: Radio, src: int, audience: list[Radio]) -> "np.ndarray":
+        """Hand-off codes of a frame from ``src`` sent by ``radio``, one per
+        hearer of ``audience`` (so aligned with its slot array).
+
+        A hearer's code says what it does with a received broadcast:
+        ``_NO_HANDLER``, ``_PROMISCUOUS``, ``_HAND_UP``, or ``_REJECTED``
+        when its rule refuses ``src`` (a unicast keeps the addressee's code
+        and maps the others' through ``_ELSEWHERE``).  The codes are
+        ``intp``, so the tables gather them without a cast.  Cached per
+        transmitter while it is attached and sends frames under its own
+        id, and dropped by exactly the hooks that drop ``_hearer_slots``,
+        plus any rule or handler change (which clears them all).
+        """
+        mote_id = radio.mote.id
+        cacheable = radio._slot is not None and src == mote_id
+        if cacheable:
+            codes = self._hearer_codes.get(mote_id)
+            if codes is not None:
+                return codes
+        codes = np.fromiter(
+            (
+                _NO_HANDLER
+                if hearer._receive_callback is None
+                else _PROMISCUOUS
+                if not hearer._addressed
+                else _REJECTED
+                if hearer._senders is not None and src not in hearer._senders
+                else _HAND_UP
+                for hearer in audience
+            ),
+            dtype=np.intp,
+            count=len(audience),
+        )
+        if cacheable:
+            self._hearer_codes[mote_id] = codes
+        return codes
 
     def _mark_overlaps(
         self, overlaps: list[Transmission], mark: "np.ndarray"

@@ -13,6 +13,7 @@ hearer queries read:
   int64 comparand (see :data:`ELIGIBLE_NEVER`);
 * ``attach_seq`` — the sort key that orders hearer lists;
 * ``frames_received`` — the vector fan-out's reception tallies;
+* ``frames_rejected`` — the vector hand-off's sender-rejection tallies;
 * ``mote_ids`` — each slot's owner (-1 when free), inverted by the
   ``slot_of`` dict: the fan-out works in slot space, but delivery hands
   frames to mote objects.
@@ -73,6 +74,7 @@ class RadioField:
         "eligible_key",
         "attach_seq",
         "frames_received",
+        "frames_rejected",
         "mote_ids",
         "slot_of",
         "scratch_bool",
@@ -95,6 +97,9 @@ class RadioField:
         #: radio's total is this plus its scalar-path tally; folded back
         #: into the radio on release.
         self.frames_received = np.zeros(self.capacity, dtype=np.int64)
+        #: Frames the vectorized hand-off withheld because the slot's radio
+        #: does not accept their sender; folded back like ``frames_received``.
+        self.frames_rejected = np.zeros(self.capacity, dtype=np.int64)
         self.mote_ids = np.full(self.capacity, -1, dtype=np.int64)
         #: mote id -> slot, the inverse of ``mote_ids``.
         self.slot_of: dict[int, int] = {}
@@ -118,6 +123,7 @@ class RadioField:
         self.eligible_key[slot] = ELIGIBLE_IDLE
         self.attach_seq[slot] = attach_seq
         self.frames_received[slot] = 0
+        self.frames_rejected[slot] = 0
         self.mote_ids[slot] = mote_id
         self.slot_of[mote_id] = slot
         return slot
@@ -134,6 +140,7 @@ class RadioField:
         self.eligible_key[slot] = ELIGIBLE_NEVER
         self.attach_seq[slot] = -1
         self.frames_received[slot] = 0
+        self.frames_rejected[slot] = 0
         self.mote_ids[slot] = -1
         self._free.append(slot)
 
@@ -186,6 +193,9 @@ class RadioField:
         )
         self.frames_received = np.concatenate(
             [self.frames_received, np.zeros(old, dtype=np.int64)]
+        )
+        self.frames_rejected = np.concatenate(
+            [self.frames_rejected, np.zeros(old, dtype=np.int64)]
         )
         self.mote_ids = np.concatenate(
             [self.mote_ids, np.full(old, -1, dtype=np.int64)]

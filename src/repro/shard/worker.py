@@ -50,7 +50,6 @@ import time
 from typing import Iterable, Protocol
 
 from repro.mote.mote import Mote
-from repro.net.filters import NeighborSetFilter
 from repro.network import SensorNetwork
 from repro.radio.channel import MacParams, Transmission
 from repro.radio.frame import Frame
@@ -148,9 +147,7 @@ class ShardWorker:
             if not cross:
                 continue
             node = self.net.nodes[location]
-            for frame_filter in node.stack._filters:
-                if isinstance(frame_filter, NeighborSetFilter):
-                    frame_filter.extend(mote_id for mote_id, _ in cross)
+            node.stack.admit_senders(mote_id for mote_id, _ in cross)
             node.beacons.prime(cross)
 
         # --- outbound capture ---------------------------------------------

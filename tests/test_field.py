@@ -74,10 +74,12 @@ class TestSlotLifecycle:
         slot = field.allocate(1, (0.0, 0.0), attach_seq=9)
         assert field.attach_seq[slot] == 9
         field.frames_received[slot] = 3
+        field.frames_rejected[slot] = 2
         field.release(1)
         assert field.eligible_key[slot] == ELIGIBLE_NEVER
         assert field.attach_seq[slot] == -1
         assert field.frames_received[slot] == 0
+        assert field.frames_rejected[slot] == 0
         # A recycled slot starts clean for the next mote.
         fresh = field.allocate(2, (1.0, 1.0), attach_seq=10)
         assert fresh == slot
@@ -93,6 +95,7 @@ class TestSlotLifecycle:
         assert all(field.eligible_key[s] == ELIGIBLE_NEVER for s in free)
         assert all(field.attach_seq[s] == -1 for s in free)
         assert all(field.frames_received[s] == 0 for s in free)
+        assert all(field.frames_rejected[s] == 0 for s in free)
 
     def test_slots_of_gathers_in_order(self):
         field = RadioField()

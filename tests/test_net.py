@@ -11,6 +11,7 @@ from repro.net import (
     GeoRouter,
     GridNeighborFilter,
     Location,
+    NeighborSetFilter,
     NetworkStack,
     bridge_edge,
     grid_locations,
@@ -100,6 +101,19 @@ class TestNetworkStack:
         stacks[0].send(2, 0x42, b"x")
         sim.run_until_idle()
         assert got == []
+        assert stacks[1].dropped_by_filter == 1
+
+    def test_admitted_senders_reach_the_radio(self):
+        sim, channel, motes, stacks = build_pair()
+        got = []
+        stacks[1].register_handler(0x42, lambda f: got.append(f.payload))
+        stacks[1].install_filter(NeighborSetFilter([]))
+        stacks[0].send(2, 0x42, b"refused")
+        sim.run_until_idle()
+        stacks[1].admit_senders([1])
+        stacks[0].send(2, 0x42, b"admitted")
+        sim.run_until_idle()
+        assert got == [b"admitted"]
         assert stacks[1].dropped_by_filter == 1
 
     def test_sends_queue_behind_each_other(self):

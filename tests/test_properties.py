@@ -2,7 +2,7 @@
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network import SensorNetwork
@@ -396,10 +396,22 @@ class _NaiveChannel(Channel):
 
 _N_RADIOS = 6
 _PRR_CHOICES = (0.0, 0.4, 1.0)
+_BROADCAST = 0xFFFF
+
+#: A radio's acceptance rule as (kind, sender bitmask over the mote ids):
+#: kind 0 promiscuous, 1 its own address, 2 its own address and only the
+#: senders in the mask.
+acceptance_rules = st.tuples(st.integers(0, 2), st.integers(0, 2**_N_RADIOS - 1))
 
 delivery_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("send"), st.integers(0, _N_RADIOS - 1), st.integers(0, 255)),
+        st.tuples(
+            st.just("send"),
+            st.integers(0, _N_RADIOS - 1),
+            st.integers(0, 255),
+            # Broadcast, any mote id, or an id nobody holds.
+            st.sampled_from((_BROADCAST, *range(1, _N_RADIOS + 2))),
+        ),
         st.tuples(
             st.just("move"),
             st.integers(0, _N_RADIOS - 1),
@@ -418,11 +430,22 @@ delivery_ops = st.lists(
         st.tuples(
             st.just("clear"), st.integers(0, _N_RADIOS - 1), st.integers(0, _N_RADIOS - 1)
         ),
+        st.tuples(st.just("rule"), st.integers(0, _N_RADIOS - 1), acceptance_rules),
         st.tuples(st.just("run"), st.integers(1, 60)),
     ),
     min_size=0,
     max_size=40,
 )
+deploy_rules = st.lists(acceptance_rules, min_size=_N_RADIOS, max_size=_N_RADIOS)
+
+#: Every radio promiscuous: the channel as it hands frames to raw radios.
+_PROMISCUOUS_RULES = [(0, 0)] * _N_RADIOS
+
+
+def _set_rule(radio, rule):
+    kind, mask = rule
+    senders = {m + 1 for m in range(_N_RADIOS) if mask >> m & 1}
+    radio.set_acceptance(kind > 0, senders if kind == 2 else None)
 
 
 class TestDeliveryEquivalenceProperty:
@@ -430,21 +453,31 @@ class TestDeliveryEquivalenceProperty:
     under *any* interleaving of sends, moves, detaches, and PRR-override
     churn, the memoized-cache + batched-fan-out delivery path produces the
     same frames at the same receivers — frame for frame, drop for drop —
-    as a naive reference that rederives every link decision per frame."""
+    as a naive reference that rederives every link decision per frame.
 
-    def _deploy(self, channel_cls, seed):
+    The hand-off is part of it: frames go to motes by id or broadcast, every
+    radio starts with a drawn acceptance rule that ``rule`` ops change
+    mid-run, and the reference hands each reception up through
+    ``Radio.deliver``, so both batched paths must call the same callbacks
+    and tally the same sender refusals.  Each radio's reception count is
+    compared too, so a reception the rule withholds still counts."""
+
+    def _deploy(self, channel_cls, seed, rules):
         sim = Simulator(seed=seed)
         channel = channel_cls(
             sim, UniformLossLinks(prr=0.8, range_m=3.5), grid_spacing_m=1.0
         )
-        log: list[tuple[int, int, bytes]] = []
+        log: list[tuple[int, int, int, bytes]] = []
         radios = []
         for index in range(_N_RADIOS):
             mote = Mote(sim, index + 1, Location(index % 3, index // 3), Environment())
             radio = channel.attach(mote)
             radio.set_receive_callback(
-                lambda frame, me=index: log.append((me, frame.src, frame.payload))
+                lambda frame, me=index: log.append(
+                    (me, frame.src, frame.dest, frame.payload)
+                )
             )
+            _set_rule(radio, rules[index])
             radios.append(radio)
         return sim, channel, radios, log
 
@@ -472,19 +505,21 @@ class TestDeliveryEquivalenceProperty:
             if index not in detached:
                 assert channel.busy_for(radio) == self._naive_busy(channel, radio)
 
-    def _drive(self, channel_cls, operations, seed, vector_min=None, sense_check=False):
-        sim, channel, radios, log = self._deploy(channel_cls, seed)
+    def _drive(
+        self, channel_cls, operations, seed, rules, vector_min=None, sense_check=False
+    ):
+        sim, channel, radios, log = self._deploy(channel_cls, seed, rules)
         if vector_min is not None:
             channel.vector_fanout_min = vector_min
         detached: set[int] = set()
         for op in operations:
             kind, *args = op
             if kind == "send":
-                index, payload = args
+                index, payload, dest = args
                 radio = radios[index]
                 if index in detached or radio.sending:
                     continue
-                radio.send(Frame(index + 1, 0xFFFF, 0x10, bytes([payload])))
+                radio.send(Frame(index + 1, dest, 0x10, bytes([payload])))
             elif kind == "move":
                 index, x, y = args
                 if index in detached:
@@ -510,6 +545,9 @@ class TestDeliveryEquivalenceProperty:
             elif kind == "clear":
                 src, dst = args
                 channel.prr_overrides.pop((src + 1, dst + 1), None)
+            elif kind == "rule":
+                index, rule = args
+                _set_rule(radios[index], rule)
             else:
                 sim.run(duration=ms(args[0]))
             if sense_check:
@@ -519,39 +557,70 @@ class TestDeliveryEquivalenceProperty:
             self._assert_sense_consistent(channel, radios, detached)
         return (
             log,
+            [radio.frames_received for radio in radios],
+            [radio.frames_rejected for radio in radios],
             channel.frames_transmitted,
             channel.prr_drops,
             channel.collisions,
             channel.mac_giveups,
         )
 
-    @given(delivery_ops, st.integers(0, 7))
+    @given(delivery_ops, st.integers(0, 7), deploy_rules)
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_cached_batched_delivery_matches_naive_reference(self, operations, seed):
-        optimized = self._drive(Channel, operations, seed)
-        reference = self._drive(_NaiveChannel, operations, seed)
+    def test_cached_batched_delivery_matches_naive_reference(self, operations, seed, rules):
+        optimized = self._drive(Channel, operations, seed, rules)
+        reference = self._drive(_NaiveChannel, operations, seed, rules)
         assert optimized == reference
 
-    @given(delivery_ops, st.integers(0, 7))
+    @given(delivery_ops, st.integers(0, 7), deploy_rules)
+    # A rule change between two frames from the same transmitter: the
+    # second frame's hand-off must not reuse the first one's decisions.
+    @example(
+        [
+            ("send", 0, 1, _BROADCAST),
+            ("run", 60),
+            ("rule", 1, (2, 0)),
+            ("send", 0, 2, _BROADCAST),
+            ("run", 60),
+        ],
+        0,
+        [(2, 2**_N_RADIOS - 1)] * _N_RADIOS,
+    )
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_vectorized_delivery_matches_naive_reference(self, operations, seed):
+    def test_vectorized_delivery_matches_naive_reference(self, operations, seed, rules):
         """PR 6's extension: force *every* fan-out down the vectorized field
         path (threshold 1) and require the same frames, drops, collisions,
         and RNG-stream consumption as the naive per-frame reference — which
         also proves vector and scalar paths are interchangeable mid-run."""
-        vectorized = self._drive(Channel, operations, seed, vector_min=1)
-        reference = self._drive(_NaiveChannel, operations, seed)
+        vectorized = self._drive(Channel, operations, seed, rules, vector_min=1)
+        reference = self._drive(_NaiveChannel, operations, seed, rules)
         assert vectorized == reference
 
-    @given(delivery_ops, st.integers(0, 7))
+    @given(delivery_ops, st.integers(0, 7), deploy_rules)
+    # A radio detaches with its frame on the air, carrier sense caches that
+    # frame's audience, and a hearer then moves out of range: the audience
+    # must not be served stale.
+    @example(
+        [
+            ("send", 0, 7, _BROADCAST),
+            ("run", 13),
+            ("detach", 0),
+            ("move", 1, 8, 8),
+            ("run", 60),
+        ],
+        0,
+        _PROMISCUOUS_RULES,
+    )
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_carrier_sense_paths_match_naive_reference(self, operations, seed):
+    def test_carrier_sense_paths_match_naive_reference(self, operations, seed, rules):
         """After *every* operation, ``busy_for``'s early-exit on-air scan
         must agree with a naive walk over the airborne transmissions — and
         the interrogation must not disturb the delivery equivalence, since
         carrier sense never consumes RNG."""
-        checked = self._drive(Channel, operations, seed, vector_min=1, sense_check=True)
-        reference = self._drive(_NaiveChannel, operations, seed)
+        checked = self._drive(
+            Channel, operations, seed, rules, vector_min=1, sense_check=True
+        )
+        reference = self._drive(_NaiveChannel, operations, seed, rules)
         assert checked == reference
 
 

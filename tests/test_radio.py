@@ -519,3 +519,87 @@ class TestVectorFanOut:
         channel.end_transmission(frames[0])
         assert got == [] and channel.collisions == 1
         assert b.mote.id in channel._hearers and d.mote.id not in channel._hearers
+
+
+@pytest.mark.parametrize("vector_min", (1, 10_000))
+class TestAcceptanceRule:
+    """A radio hands up only the frames its acceptance rule takes, on both
+    fan-out paths, and the vector path's per-transmitter hand-off codes
+    never outlive a change that decides them."""
+
+    def _deploy(self, vector_min, count=3):
+        sim = Simulator(seed=0)
+        channel = Channel(sim, PerfectLinks(), grid_spacing_m=1.0)
+        channel.vector_fanout_min = vector_min
+        radios = [channel.attach(make_mote(sim, i + 1, i, 0)) for i in range(count)]
+        return sim, channel, radios
+
+    @staticmethod
+    def _send(sim, radio, frame):
+        radio.send(frame)
+        sim.run_until_idle()
+
+    def test_unicast_reaches_its_addressee_and_promiscuous_radios(self, vector_min):
+        sim, channel, (a, b, c, d) = self._deploy(vector_min, count=4)
+        got = {radio.mote.id: [] for radio in (b, c, d)}
+        for radio in (b, c, d):
+            radio.set_receive_callback(got[radio.mote.id].append)
+        b.set_acceptance(True)
+        c.set_acceptance(True, {4})  # refuses mote 1; d stays promiscuous
+        self._send(sim, a, Frame(1, 2, 0x10, b"u"))  # not c's: not refused
+        self._send(sim, a, Frame(1, 3, 0x10, b"v"))
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"b"))
+        payloads = {mote: [f.payload for f in frames] for mote, frames in got.items()}
+        assert payloads == {2: [b"u", b"b"], 3: [], 4: [b"u", b"v", b"b"]}
+        assert [r.frames_received for r in (b, c, d)] == [3, 3, 3]
+        assert [r.frames_rejected for r in (b, c, d)] == [0, 2, 0]
+
+    def test_rule_change_reaches_the_next_frame(self, vector_min):
+        sim, channel, (a, b, _) = self._deploy(vector_min)
+        got = []
+        b.set_receive_callback(got.append)
+        b.set_acceptance(True, {1})
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"1"))
+        b.set_acceptance(True, {3})
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"2"))
+        b.set_acceptance(True, {1, 3})
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"3"))
+        assert [f.payload for f in got] == [b"1", b"3"]
+        assert b.frames_rejected == 1
+
+    def test_handler_installed_later_is_called(self, vector_min):
+        sim, channel, (a, b, c) = self._deploy(vector_min)
+        c.set_receive_callback(lambda frame: None)  # the hand-off runs
+        b.set_acceptance(True, {1})
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"1"))
+        got = []
+        b.set_receive_callback(got.append)
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"2"))
+        assert [f.payload for f in got] == [b"2"]
+        assert b.frames_received == 2 and b.frames_rejected == 0
+
+    def test_sender_is_the_frame_source_not_the_transmitter(self, vector_min):
+        sim, channel, (a, b, _) = self._deploy(vector_min)
+        got = []
+        b.set_receive_callback(got.append)
+        b.set_acceptance(True, {3})
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"own"))
+        self._send(sim, a, Frame(3, BROADCAST_ID, 0x10, b"relayed"))
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"own"))
+        assert [f.payload for f in got] == [b"relayed"]
+        assert b.frames_rejected == 2
+
+    def test_rejections_fold_back_on_detach(self, vector_min):
+        sim, channel, (a, b, _) = self._deploy(vector_min)
+        b.set_receive_callback(lambda frame: None)
+        b.set_acceptance(True, set())
+        self._send(sim, a, Frame(1, BROADCAST_ID, 0x10, b"x"))
+        assert b.frames_rejected == 1
+        channel.detach(2)
+        assert b.frames_rejected == 1
+        assert channel.attach(make_mote(sim, 2, 1, 0)).frames_rejected == 0
+
+    def test_promiscuous_radio_takes_every_sender(self, vector_min):
+        sim, channel, (a, _, _) = self._deploy(vector_min)
+        with pytest.raises(RadioError):
+            a.set_acceptance(False, {2})

@@ -110,6 +110,31 @@ def test_sharded_run_is_stable_run_to_run():
     assert _counters(first) == _counters(second)
 
 
+#: Behaviour counters of an inline ``sharded-ribbon`` run at its default
+#: 8 sim-s.  Parity and stability cannot see a fault that moves inline and
+#: forked runs alike; a fixed golden can.
+RIBBON_GOLDEN = {
+    "events": 2135,
+    "frames": 382,
+    "ghost_frames": 71,
+    "frames_received": 1913,
+    "collisions": 451,
+    "prr_drops": 161,
+    "mac_giveups": 1,
+    "rounds": 3752,
+    "envelopes_out": 71,
+    "envelopes_in": 71,
+    "coverage": 8,
+}
+
+
+def test_sharded_ribbon_counters_match_the_golden():
+    scenario = Scenario.from_spec("sharded-ribbon")
+    assert scenario.duration_s == 8.0
+    counters = _counters(ShardedRunner(scenario, mode="inline").run())
+    assert {key: counters[key] for key in RIBBON_GOLDEN} == RIBBON_GOLDEN
+
+
 def test_forked_run_keeps_the_shared_heap_out_of_collections(monkeypatch):
     """Workers fork with the heap frozen, and it thaws when the run ends: a
     collection that walked the pages a worker shares with the supervisor

@@ -256,6 +256,32 @@ class TestSensorNetworkDeployments:
         assert far.dropped_by_filter >= 1
         assert net.node((2, 1)).stack.dropped_by_filter == 0
 
+    @pytest.mark.parametrize("vector_min", (1, 10_000))
+    def test_filter_and_addressing_counters_are_exact(self, vector_min):
+        # Everyone hears everyone; the topology makes a chain A - B - C and
+        # leaves D alone.  A broadcasts, then unicasts to C: B takes the
+        # broadcast and ignores C's frame, while C and D refuse A as a
+        # sender (C twice: the unicast is addressed to it).
+        topology = ExplicitTopology(
+            [(1, 1), (2, 1), (3, 1), (5, 5)],
+            edges=[((1, 1), (2, 1)), ((2, 1), (3, 1))],
+        )
+        net = SensorNetwork(
+            topology, base_station=False, link_model=PerfectLinks(), beacons=False
+        )
+        net.channel.vector_fanout_min = vector_min
+        stacks = [net.node(location).stack for location in topology.nodes]
+        for stack in stacks:
+            stack.register_handler(0x42, lambda frame: None)
+        a, _, c, _ = stacks
+        a.broadcast(0x42, b"b")
+        a.send(c.mote.id, 0x42, b"u")
+        net.sim.run(duration=1_000_000)
+        assert [
+            (stack.received, stack.dropped_by_filter, stack.radio.frames_received)
+            for stack in stacks
+        ] == [(0, 0, 0), (1, 0, 2), (0, 2, 2), (0, 1, 2)]
+
 
 # ----------------------------------------------------------------------
 # O(degree) channel: deliveries go through the cached in-range index
