@@ -6,7 +6,6 @@ Usage::
     python -m repro.bench all --runs 50 --out results/
     python -m repro.bench scale --nodes 25,400,1000
     python -m repro.bench kernel --out results/
-    python -m repro.bench fanout --nodes 100,400,1000 --out results/
     python -m repro.bench shard --nodes 2500,10000 --workers 1,2,4
     python -m repro.bench faults --seed 0 --out results/
     python -m repro.bench profile mobile-flood-400 --top 25
@@ -26,7 +25,6 @@ from repro.bench import (
     ablations,
     claims,
     compare,
-    fanout,
     faults,
     figures,
     mate_compare,
@@ -137,14 +135,6 @@ def _scale(args) -> list[Table]:
     ]
 
 
-def _fanout(args) -> list[Table]:
-    return fanout.run_fanout_bench(
-        json_path=_json_path(args, "fanout"),
-        node_counts=args.nodes,
-        seed=args.seed if args.seed is not None else 0,
-    )
-
-
 def _worker_counts(text: str) -> tuple[int, ...]:
     try:
         counts = tuple(int(part) for part in text.split(",") if part.strip())
@@ -251,7 +241,6 @@ EXPERIMENTS = {
     "scale": _scale,
     "scenario": _scenario,
     "kernel": _kernel,
-    "fanout": _fanout,
     "shard": _shard,
     "faults": _faults,
 }
@@ -315,19 +304,18 @@ def main(argv: list[str] | None = None) -> int:
     # The scenario sweep, kernel battery, and shard sweep need to distinguish
     # "flag omitted" (None: keep their own defaults) from an explicit
     # override; resolve the shared defaults for everything else here.
-    if args.experiment not in ("scenario", "kernel", "fanout", "shard", "faults"):
+    if args.experiment not in ("scenario", "kernel", "shard", "faults"):
         if args.seed is None:
             args.seed = 0
         if args.duration is None:
             args.duration = scale.DEFAULT_DURATION_S
 
     if args.experiment == "all":
-        # fig9 emits fig10 too; the scale/scenario sweeps, the kernel and
-        # fan-out micro-benches, and the shard sweep are their own,
-        # post-paper runs.
+        # fig9 emits fig10 too; the scale/scenario sweeps, the kernel
+        # micro-bench, and the shard sweep are their own, post-paper runs.
         names = sorted(
             set(EXPERIMENTS)
-            - {"fig10", "scale", "scenario", "kernel", "fanout", "shard", "faults"}
+            - {"fig10", "scale", "scenario", "kernel", "shard", "faults"}
         )
     else:
         names = [args.experiment]

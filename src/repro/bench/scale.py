@@ -29,9 +29,8 @@ DEFAULT_DURATION_S = 60.0
 #: Physical spacing per topology kind, chosen so one hop is comfortably
 #: within the MICA2's 100 m range while non-neighbors mostly are not.
 #: ``dense`` is the exception on purpose: a grid packed tight enough
-#: (~22 m) that every transmitter reaches ~60 hearers, putting the whole
-#: run on the channel's vectorized fan-out path — the ``sim_x_real`` cell
-#: for the PR 6 perf claim (``--topologies dense --nodes 1000``).
+#: (~22 m) that every transmitter reaches ~60 hearers, the wide-audience
+#: delivery regime (``--topologies dense --nodes 1000``).
 _SPACING_M = {
     "grid": 60.0,
     "line": 60.0,

@@ -18,7 +18,7 @@ pair, the effective override is the innermost (minimum) layer's PRR, and a
 window expiring removes only its own layer — never a pair another live
 window still claims.  The flat float dict the channel reads
 (``Channel.prr_overrides``) is recomputed from the layers on every change,
-so the hot delivery paths (scalar and vectorized) stay untouched.
+so the hot delivery loop stays untouched.
 Overlapping corrupt windows each get an independent probability draw per
 frame in span, applied in plan order and stopping at the first hit, so a
 frame is never counted corrupted twice but a second window is never dead

@@ -312,9 +312,9 @@ class SensorNetwork:
     @property
     def field(self):
         """The channel's :class:`~repro.radio.field.RadioField`: per-radio
-        positions/power/tx state as contiguous arrays, kept in sync by the
+        positions and attach order as contiguous arrays, kept in sync by the
         same hooks as the hearer index.  Array-level consumers (dynamics
-        bounds, benchmarks) read through here instead of walking radios."""
+        bounds) read through here instead of walking radios."""
         return self.channel.field
 
     def move_node(

@@ -3,7 +3,6 @@
 from repro.radio._np import NUMPY_FLOOR
 from repro.radio.channel import (
     EFFECTIVE_BITRATE,
-    VECTOR_FANOUT_MIN,
     Channel,
     MacParams,
     Radio,
@@ -12,7 +11,6 @@ from repro.radio.channel import (
 from repro.radio.field import RadioField
 from repro.radio.frame import FRAME_OVERHEAD_BYTES, MAX_PAYLOAD, Frame
 from repro.radio.linkcache import LinkCache
-from repro.radio.rngshim import CompatRng
 from repro.radio.linkmodels import (
     DEFAULT_PRR,
     MICA2_RANGE_M,
@@ -24,14 +22,12 @@ from repro.radio.linkmodels import (
 
 __all__ = [
     "EFFECTIVE_BITRATE",
-    "VECTOR_FANOUT_MIN",
     "NUMPY_FLOOR",
     "Channel",
     "MacParams",
     "Radio",
     "Transmission",
     "RadioField",
-    "CompatRng",
     "FRAME_OVERHEAD_BYTES",
     "MAX_PAYLOAD",
     "Frame",

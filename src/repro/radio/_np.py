@@ -1,18 +1,20 @@
 """Import numpy for the radio layer, failing fast with an actionable message.
 
-The vectorized radio field (PR 6) made numpy a hard runtime dependency of
-:mod:`repro.radio` — per-node state lives in contiguous arrays and the
-delivery fan-out is one vector pass.  Importing it here, once, turns the
-otherwise-deep ``ModuleNotFoundError`` stack trace into a one-line
-instruction naming the install command and the documented floor version
-(see ``requirements.txt``).
+The radio field keeps per-node positions in contiguous arrays, and the
+channel's hearer query is one vectorized distance mask plus one argsort
+over them, which makes numpy a hard runtime dependency of
+:mod:`repro.radio`.  Importing it here, once, turns the otherwise-deep
+``ModuleNotFoundError`` stack trace into a one-line instruction naming the
+install command and the documented floor version (see
+``requirements.txt``).
 """
 
 from __future__ import annotations
 
-#: Documented floor.  1.23 is the first release with Python 3.11 wheels, and
-#: the legacy ``RandomState`` stream the RNG shim relies on is frozen by
-#: NEP 19, so every floor-satisfying numpy draws bit-identically.
+#: Documented floor.  1.23 is the first release with Python 3.11 wheels.
+#: numpy draws no random numbers here (the channel's stream is the stdlib
+#: ``random.Random``); what a floor-satisfying numpy must reproduce is the
+#: hearer query's float64 distance mask and its attach-order argsort.
 NUMPY_FLOOR = "1.23"
 
 try:

@@ -15,25 +15,17 @@ Reception is decided per receiver at end-of-frame:
 * otherwise an independent Bernoulli draw with the link's PRR (optionally
   overridden per mote pair for failure injection) decides delivery.
 
-Above :data:`VECTOR_FANOUT_MIN` hearers the whole reception decision runs
-*vectorized*: per-receiver state comes from the :class:`RadioField` arrays
-(fancy-indexed by cached hearer slots), eligibility and collisions are
-boolean masks, PRRs come from the link cache's dense row vector, and all
-loss draws collapse into one ``rng.random_vector(n)`` call.  The
-:class:`~repro.radio.rngshim.CompatRng` stream shim guarantees that vector
-draw consumes the MT19937 stream exactly like the scalar per-receiver loop,
-so fixed-seed runs are bit-identical whichever path a frame takes.
+The draws come from the channel's own ``random.Random`` stream, seeded
+``f"{sim.seed}/channel"``: one ``random()`` per eligible receiver in attach
+order, plus one ``randint`` per MAC backoff.
 
 Each reception then meets the receiver's acceptance rule before any Python
 callback runs (:meth:`Radio.set_acceptance`): either promiscuous (every
 frame, the default) or addressed — broadcasts and frames to the radio's own
-mote id only, optionally from a set of accepted senders alone.  The vector
-pass splits the receivers with a code vector cached per transmitter beside
-its hearer slots (hand up, promiscuous, sender refused, no handler) and,
-for a unicast, one compare of the receivers' mote ids with the
-destination; :meth:`Radio.deliver` is the one-receiver reference for both
-paths.  On a dense flood, 95% of receptions are another mote's unicast or
-a refused sender's broadcast, so this hand-off decides far more frames
+mote id only, optionally from a set of accepted senders alone.
+:meth:`Radio.deliver` is the one-receiver reference for the fan-out's
+hand-off.  On a dense flood, 95% of receptions are another mote's unicast
+or a refused sender's broadcast, so this hand-off decides far more frames
 than the stacks do.
 
 Carrier sense is one early-exit scan: ``busy_for`` walks the handful of
@@ -49,6 +41,8 @@ fixed-seed stream at all; the hypothesis interleaving property pins
 from __future__ import annotations
 
 import math
+import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -59,41 +53,17 @@ from repro.radio.field import RadioField
 from repro.radio.frame import Frame
 from repro.radio.linkcache import LinkCache
 from repro.radio.linkmodels import LinkModel, Position, UniformLossLinks
-from repro.radio.rngshim import CompatRng
 from repro.sim.kernel import Simulator
 
 #: CC1000 effective data rate after Manchester encoding (bits/second).
 EFFECTIVE_BITRATE = 19_200
 
-#: Audience size at which :meth:`Channel.end_transmission` switches from the
-#: scalar per-receiver loop to the vectorized field pass.  Both paths consume
-#: the RNG stream identically, so this is purely a throughput knob: numpy's
-#: per-call overhead (~8 array ops + one vector draw, and ~8 more for the
-#: acceptance-rule hand-off) only amortizes once the fan-out is wide enough.
-#: The ``bench fanout`` break-even sweep, whose radios carry a callback
-#: behind a network stack's rule, puts it at 32 hearers (warm cache; see
-#: ``results/fanout.txt``); audiences below that stay on the scalar loop,
-#: which also never builds their dense PRR rows.  End to end the traced
-#: benchmark runs fan out 89% vector on ``flood-dense`` and 0% on
-#: ``flood-mobile``, so both paths carry a workload.
-VECTOR_FANOUT_MIN = 32
+#: Unused (delivery has one path); kept, at a width no audience reaches,
+#: because perfbench's manifest reports it.
+VECTOR_FANOUT_MIN = sys.maxsize
 
 #: Unused (carrier sense has one path); kept because perfbench's manifest reports it.
 VECTOR_SENSE_MIN = 16
-
-#: Hand-off codes, one per hearer of a transmitter (see
-#: :meth:`Channel._codes_for`): what a received broadcast from that
-#: transmitter does at the hearer.
-_NO_HANDLER = 0  # no receive callback: counted as received, nothing more
-_REJECTED = 1  # the rule refuses the sender: counted in ``frames_rejected``
-_HAND_UP = 2  # the receive callback is called
-_PROMISCUOUS = 3  # the receive callback is called, whatever the destination
-#: The codes read as tables (a gather is the cheapest numpy op on a
-#: fan-out's few dozen receivers): does the callback run, is a refusal
-#: tallied, and what a code becomes at a unicast's other receivers.
-_CALLS = np.array([False, False, True, True])
-_REFUSES = np.array([False, True, False, False])
-_ELSEWHERE = np.array([_NO_HANDLER, _NO_HANDLER, _NO_HANDLER, _PROMISCUOUS], dtype=np.intp)
 
 #: Relative slack on the end-of-frame overlap prune's squared-distance
 #: bound: a few float roundings separate the prune's distance from the
@@ -154,13 +124,11 @@ class Radio:
         self._pending_carrier_sense = None  # armed backoff's EventHandle; None once fired
         self._attach_seq = 0  # set by Channel.attach; orders hearer lists
         self._slot: int | None = None  # RadioField slot; None once detached
-        # Statistics used by the benchmarks.  Receptions are split between
-        # this scalar tally and the field's ``frames_received`` array (the
-        # vectorized fan-out increments slots in bulk); the property below
-        # presents the sum.
+        # Statistics used by the benchmarks.
         self.frames_sent = 0
-        self._frames_received = 0
-        self._frames_rejected = 0
+        self.frames_received = 0
+        #: Received frames the acceptance rule withheld for their sender.
+        self.frames_rejected = 0
         self.bytes_sent = 0
 
     # ------------------------------------------------------------------
@@ -175,11 +143,6 @@ class Radio:
         if up == self._enabled:
             return
         self._enabled = up
-        if self._slot is not None:
-            tx = self._current_tx
-            self.channel.field.set_enabled(
-                self._slot, up, None if tx is None else tx.start
-            )
         if not up and self._send_pending and self._pending_carrier_sense is not None:
             # The armed backoff will now abort the send (completion callbacks
             # touch protocol and scheduling state): it is no longer benign to
@@ -192,44 +155,14 @@ class Radio:
     def sim(self) -> Simulator:
         return self.channel.sim
 
-    @property
-    def frames_received(self) -> int:
-        slot = self._slot
-        if slot is None:
-            return self._frames_received
-        return self._frames_received + int(self.channel.field.frames_received[slot])
-
-    @frames_received.setter
-    def frames_received(self, value: int) -> None:
-        slot = self._slot
-        if slot is not None:
-            self.channel.field.frames_received[slot] = 0
-        self._frames_received = int(value)
-
-    @property
-    def frames_rejected(self) -> int:
-        """Received frames the acceptance rule withheld for their sender."""
-        slot = self._slot
-        if slot is None:
-            return self._frames_rejected
-        return self._frames_rejected + int(self.channel.field.frames_rejected[slot])
-
     def set_receive_callback(self, callback: Callable[[Frame], None] | None) -> None:
         """Install the link-layer receive handler (one per radio).
 
         The channel calls it with each received frame that the radio's
         acceptance rule takes (see :meth:`set_acceptance`; a raw radio is
         promiscuous and takes every frame), after the whole fan-out's loss
-        draws.  :meth:`deliver` is the one-receiver reference.  A callback
-        may not change another radio's callback or rule: the vector fan-out
-        decides every receiver's hand-off before it calls the first one.
+        draws.  :meth:`deliver` is the one-receiver reference.
         """
-        # The channel counts installed handlers so the vector fan-out can
-        # skip the hand-off outright on handler-free fields (benchmark rigs,
-        # ghost-only seams); a flip also changes the hand-off codes.
-        if (callback is None) != (self._receive_callback is None):
-            self.channel._receive_callbacks += 1 if callback is not None else -1
-            self.channel._hearer_codes.clear()
         self._receive_callback = callback
 
     def set_acceptance(
@@ -251,12 +184,8 @@ class Radio:
             if not addressed:
                 raise RadioError("a promiscuous radio takes every sender")
             senders = frozenset(senders)
-        addressed = bool(addressed)
-        if addressed == self._addressed and senders == self._senders:
-            return
-        self._addressed = addressed
+        self._addressed = bool(addressed)
         self._senders = senders
-        self.channel._hearer_codes.clear()
 
     @property
     def sending(self) -> bool:
@@ -321,8 +250,6 @@ class Radio:
         airtime = self.channel.airtime_us(frame)
         tx = Transmission(self, frame, self.sim.now, self.sim.now + airtime)
         self._current_tx = tx
-        if self._slot is not None:
-            self.channel.field.begin_tx(self._slot, tx.start)
         self.frames_sent += 1
         self.bytes_sent += frame.air_bytes
         self.channel.begin_transmission(tx)
@@ -330,8 +257,6 @@ class Radio:
 
     def _end_tx(self, tx: Transmission, on_done: Callable[[bool], None] | None) -> None:
         self._current_tx = None
-        if self._slot is not None:
-            self.channel.field.end_tx(self._slot)
         self.channel.end_transmission(tx)
         self._finish_send(on_done, True)
 
@@ -349,10 +274,10 @@ class Radio:
     def deliver(self, frame: Frame) -> None:
         """Count one successful reception and hand it up if the rule takes it.
 
-        The one-receiver reference for the channel's batched hand-off: both
-        fan-out paths make exactly these decisions.
+        The one-receiver reference for the channel's batched hand-off, which
+        makes exactly these decisions.
         """
-        self._frames_received += 1
+        self.frames_received += 1
         callback = self._receive_callback
         if callback is None:
             return
@@ -361,7 +286,7 @@ class Radio:
                 return  # another mote's unicast
             senders = self._senders
             if senders is not None and frame.src not in senders:
-                self._frames_rejected += 1
+                self.frames_rejected += 1
                 return
         callback(frame)
 
@@ -391,6 +316,9 @@ class Channel:
     failure injection applies to the very next delivery, warm cache or not.
     """
 
+    #: Unused (delivery has one path); perfbench's traced run reads it.
+    vector_fanout_min = VECTOR_FANOUT_MIN
+
     def __init__(
         self,
         sim: Simulator,
@@ -406,16 +334,15 @@ class Channel:
         #: Physical meters per grid unit.  The paper's testbed is a tabletop:
         #: motes centimeters apart, all within radio range of each other.
         self.grid_spacing_m = grid_spacing_m
-        #: The channel's RNG stream.  Seeded exactly like the stdlib stream
-        #: ``sim.rng("channel")`` used to be, but served by the numpy-backed
-        #: :class:`CompatRng` so the delivery fan-out can draw all Bernoulli
-        #: outcomes in one vector call without perturbing the word sequence.
-        self.rng = CompatRng(f"{sim.seed}/channel")
+        #: The channel's RNG stream: MAC backoffs and loss draws.  Its seed
+        #: string is the one ``sim.rng("channel")`` would use, so every
+        #: fixed-seed golden replays the same history.
+        self.rng = random.Random(f"{sim.seed}/channel")
         self._radios: dict[int, Radio] = {}
         self._attach_counter = 0
-        #: Contiguous per-radio state (positions, power, tx intervals) for
-        #: the vectorized fan-out, mirrored through the same hooks that
-        #: maintain the hearer index (see :mod:`repro.radio.field`).
+        #: Contiguous per-radio positions and attach order for the hearer
+        #: queries, mirrored through the same hooks that maintain the hearer
+        #: index (see :mod:`repro.radio.field`).
         self.field = RadioField()
         #: The handful of transmissions currently on the air: what carrier
         #: sense scans, and the source of each new frame's overlap set.  A
@@ -423,27 +350,17 @@ class Channel:
         #: frame's end event fires (the energy already left the antenna).
         self._on_air: list[Transmission] = []
         # Hearer index: mote id -> radios in range of that transmitter, in
-        # attach order (kept as list for iteration plus id-set for membership
-        # plus field-slot array for the vectorized fan-out).  All three are
-        # dropped by exactly the same attach/move/detach/model hooks.
+        # attach order (kept as list for iteration plus id-set for
+        # membership).  Both are dropped by exactly the same
+        # attach/move/detach/model hooks.
         self._hearers: dict[int, list[Radio]] = {}
         self._hearer_ids: dict[int, frozenset[int]] = {}
-        self._hearer_slots: dict[int, "np.ndarray"] = {}
-        #: Hand-off codes aligned with ``_hearer_slots`` (see
-        #: :meth:`_codes_for`): dropped with it, and cleared outright
-        #: whenever any radio's rule or handler presence changes.
-        self._hearer_codes: dict[int, "np.ndarray"] = {}
         #: Spatial hash: cell -> field slots of the radios in it (cell size =
         #: radio range), the index base a hearer query concatenates.
         self._cells: dict[tuple[int, int], list[int]] | None = None
         self._cell_size: float = 0.0
-        #: Fan-out width at which delivery switches to the vectorized pass.
-        #: Tunable per channel (benchmarks force both paths with it).
-        self.vector_fanout_min = VECTOR_FANOUT_MIN
-        #: Installed receive handlers (see Radio.set_receive_callback).
-        self._receive_callbacks = 0
         #: Memoized per-pair PRRs (see :mod:`repro.radio.linkcache`).
-        self.link_cache = LinkCache(self._link_model, self.field)
+        self.link_cache = LinkCache(self._link_model)
         #: Per (src mote id, dst mote id) PRR override for failure injection.
         #: Consulted *before* the link cache on every delivery, so an override
         #: installed while frames are already in flight still applies to the
@@ -515,15 +432,11 @@ class Channel:
         self.full_invalidations += 1
         self._hearers.clear()
         self._hearer_ids.clear()
-        self._hearer_slots.clear()
-        self._hearer_codes.clear()
         self._cells = None
 
     def _drop_cached(self, mote_id: int) -> None:
         self._hearers.pop(mote_id, None)
         self._hearer_ids.pop(mote_id, None)
-        self._hearer_slots.pop(mote_id, None)
-        self._hearer_codes.pop(mote_id, None)
 
     def _drop_cached_near(self, position: Position) -> None:
         """Drop the cached hearer lists of every radio within one cell of
@@ -555,8 +468,8 @@ class Channel:
         # the cached PRR pairs it participates in, whatever happens to the
         # spatial hash below.
         self.link_cache.invalidate(mote_id)
-        # The field mirror only feeds end-of-frame reads, so one write up
-        # front covers every branch below (attached radios always hold a slot).
+        # Nothing below reads a field position, so one write up front
+        # covers every branch (attached radios always hold a slot).
         self.field.set_position(radio._slot, position)
         if self._cells is None:
             radio.position = position  # index not built yet: nothing to re-key
@@ -607,12 +520,6 @@ class Channel:
                     if not bucket:
                         del self._cells[cell]
         self._drop_cached(mote_id)
-        # Fold the vector-path tallies back into the radio before its slot
-        # (and the array entries) is recycled.
-        radio._frames_received += int(self.field.frames_received[radio._slot])
-        radio._frames_rejected += int(self.field.frames_rejected[radio._slot])
-        # Free the field slot last: the ``enabled`` setter above still wrote
-        # through it.  The released slot reads disabled/idle until reused.
         self.field.release(mote_id)
         radio._slot = None
         return radio
@@ -705,7 +612,6 @@ class Channel:
             audience = [radios[mote] for mote in ids]
         else:
             # Scalar fallback for link models without the vector hook.
-            slots = None
             in_range = self._link_model.in_range
             position = radio.position
             radios = self._radios
@@ -721,8 +627,6 @@ class Channel:
             ids = [r.mote.id for r in audience]
         if detached:
             return audience
-        if slots is not None:
-            self._hearer_slots[mote_id] = slots
         self._hearer_ids[mote_id] = frozenset(ids)
         self._hearers[mote_id] = audience
         return audience
@@ -814,29 +718,19 @@ class Channel:
         the Bernoulli loss draws are all decided before any surviving frame
         is handed up the stacks, which also means nothing a handler does can
         alter this frame's own outcomes.  A receiver's acceptance rule then
-        decides whether its callback runs at all (see :meth:`Radio.deliver`);
-        the vector path decides that for every receiver before it calls the
-        first, so a callback may not change another radio's callback or
-        rule (none does: a stack's closure only posts tasks and counts).
-
-        Narrow audiences take the scalar per-receiver loop; at
-        :attr:`vector_fanout_min` hearers and above the same three passes run
-        as array operations over the :class:`RadioField` (boolean masks for
-        eligibility/collisions, a dense PRR row vector, one
-        ``random_vector(n)`` draw).  Both paths consume the RNG stream in the
-        exact per-receiver attach order — one double per eligible receiver —
-        so fixed-seed runs are bit-identical regardless of which path each
-        frame takes.
+        decides whether its callback runs at all (see :meth:`Radio.deliver`).
+        The stream discipline is one ``random()`` per eligible receiver, in
+        attach order.
 
         The transmissions that overlap ``tx`` were recorded while both were
         on the air (:meth:`begin_transmission`), so the collision check scans
         a precomputed (usually absent or tiny) overlap list and never touches
-        transmission history.  Before either fan-out path runs, that list
-        drops every frame whose transmitter is more than twice the link
-        range from ``tx``'s: by the triangle inequality no radio can hear
-        both, and both sides are judged at the same end-of-frame positions
-        the hearer lists use, so the prune is exact under any move or
-        detach.  (An unbounded link model has no range: nothing is pruned.)
+        transmission history.  Before the fan-out runs, that list drops
+        every frame whose transmitter is more than twice the link range
+        from ``tx``'s: by the triangle inequality no radio can hear both,
+        and both sides are judged at the same end-of-frame positions the
+        hearer lists use, so the prune is exact under any move or detach.
+        (An unbounded link model has no range: nothing is pruned.)
         The list is then released (``tx.overlaps = None``), corrupted frame
         or not, so ended frames do not pin the run's transmission history.
         """
@@ -853,10 +747,7 @@ class Channel:
             return  # nobody in range: skip the fan-out entirely
         if overlaps and self._cell_size > 0.0:
             overlaps = self._near_overlaps(tx.radio.position, overlaps)
-        if len(hearers) >= self.vector_fanout_min:
-            self._fan_out_vector(tx, hearers, overlaps)
-        else:
-            self._fan_out_scalar(tx, hearers, overlaps)
+        self._fan_out_scalar(tx, hearers, overlaps)
 
     def _near_overlaps(
         self, position: Position, overlaps: list[Transmission]
@@ -881,7 +772,7 @@ class Channel:
         hearers: list[Radio],
         overlaps: list[Transmission] | None,
     ) -> None:
-        """The per-receiver delivery loop, optimal for narrow audiences."""
+        """The per-receiver delivery loop: eligibility, loss, hand-off."""
         # Resolve each overlapping transmitter's hearer-id set once up front:
         # the set is shared by all receivers, so the per-receiver collision
         # check becomes a set membership.
@@ -949,7 +840,7 @@ class Channel:
         src = frame.src
         dest = None if frame.is_broadcast else frame.dest
         for radio in delivered:
-            radio._frames_received += 1
+            radio.frames_received += 1
             callback = radio._receive_callback
             if callback is None:
                 continue
@@ -958,224 +849,6 @@ class Channel:
                     continue
                 senders = radio._senders
                 if senders is not None and src not in senders:
-                    radio._frames_rejected += 1
+                    radio.frames_rejected += 1
                     continue
             callback(frame)
-
-    # ------------------------------------------------------------------
-    # Vectorized fan-out
-    # ------------------------------------------------------------------
-    def _slots_for(self, radio: Radio, audience: list[Radio]) -> "np.ndarray":
-        """Field-slot array for ``radio``'s hearer list, memoized alongside it.
-
-        ``_hearer_slots`` is dropped by exactly the hooks that drop
-        ``_hearers`` (and slots are stable for the lifetime of an
-        attachment), so a cached array is always consistent with the list.
-        A detached radio's list is never cached (see :meth:`hearers`), and
-        neither is its slot array.
-        """
-        if radio._slot is None:
-            return self.field.slots_of([r.mote.id for r in audience])
-        mote_id = radio.mote.id
-        slots = self._hearer_slots.get(mote_id)
-        if slots is None:
-            slots = self.field.slots_of([r.mote.id for r in audience])
-            self._hearer_slots[mote_id] = slots
-        return slots
-
-    def _fan_out_vector(
-        self,
-        tx: Transmission,
-        hearers: list[Radio],
-        overlaps: list[Transmission] | None,
-    ) -> None:
-        """The three delivery passes as array operations over the field.
-
-        Stream discipline: exactly one double is drawn per *eligible*
-        receiver, in attach order — ``hearers`` is attach-sorted and every
-        mask preserves its order — so this path is RNG-indistinguishable
-        from :meth:`_fan_out_scalar`.  Counter discipline likewise: the
-        collision, drop, hit and miss counters are incremented with the
-        same multiplicities the scalar loop would produce.
-        """
-        field = self.field
-        tx_radio = tx.radio
-        tx_id = tx_radio.mote.id
-        slots = self._slots_for(tx_radio, hearers)
-        end = tx.end
-        # Pass 1: eligibility (powered, not mid-transmission) fused into a
-        # single gather + compare (see ``RadioField.eligible_key``).
-        eligible = field.eligible_key[slots] >= end
-        if overlaps:
-            # Collision mask: mark every slot each overlapping transmitter
-            # reaches (plus its own — half-duplex, a radio hears itself) in
-            # the capacity-sized scratch, gather at the hearer slots, then
-            # un-mark only what was touched.  O(sum of overlap degrees + n).
-            mark = field.scratch_bool
-            marked = self._mark_overlaps(overlaps, mark)
-            collided = mark[slots]
-            for oslots in marked:
-                mark[oslots] = False
-            collided &= eligible  # scalar loop only counts eligible hearers
-            self.collisions += int(np.count_nonzero(collided))
-            eligible &= ~collided
-        # Everything below works in slot space: the receiver set is a slot
-        # array, and radio objects are resolved through ``mote_ids`` only
-        # where a Python-side hand-off (callback, scalar fill) needs them.
-        rslots = slots[eligible]
-        n = int(rslots.size)
-        if n == 0:
-            return
-        # Pass 2: PRR resolution — override ▸ cached row vector ▸ model fill.
-        cache = self.link_cache
-        prrs = cache.row_array(tx_id)[rslots]
-        override_mask, override_values = self._gather_overrides(tx_id, rslots)
-        unresolved = np.isnan(prrs)
-        if override_mask is not None:
-            unresolved &= ~override_mask
-            misses = int(np.count_nonzero(unresolved))
-            cache.cache_hits += n - misses - int(np.count_nonzero(override_mask))
-        else:
-            misses = int(np.count_nonzero(unresolved))
-            cache.cache_hits += n - misses
-        if misses:
-            tx_position = tx_radio.position
-            if hasattr(self._link_model, "prr_vector"):
-                prrs[unresolved] = cache.fill_slots(
-                    tx_id, tx_position, rslots[unresolved]
-                )
-            else:
-                radios = self._radios
-                mote_ids = field.mote_ids
-                for k, slot in zip(
-                    np.flatnonzero(unresolved).tolist(),
-                    rslots[unresolved].tolist(),
-                ):
-                    radio = radios[int(mote_ids[slot])]
-                    prrs[k] = cache.fill(
-                        tx_id, tx_position, radio.mote.id, radio.position
-                    )
-        if override_mask is not None:
-            prrs[override_mask] = override_values[override_mask]
-        # Pass 3: every receiver's Bernoulli outcome from one vector draw,
-        # reception tallies as one fancy increment (receiver slots are
-        # unique, so ``+= 1`` cannot lose updates), then the hand-off —
-        # only when somebody actually installed a receive handler.  The
-        # receivers' acceptance rules pick the callbacks with array ops
-        # (Radio.deliver decides the same, one receiver at a time).
-        success = self.rng.random_vector(n) < prrs
-        delivered = int(np.count_nonzero(success))
-        self.prr_drops += n - delivered
-        if delivered == 0:
-            return
-        dslots = rslots[success]
-        field.frames_received[dslots] += 1
-        if not self._receive_callbacks:
-            return
-        frame = tx.frame
-        codes = self._codes_for(tx_radio, frame.src, hearers)[eligible][success]
-        if not frame.is_broadcast:
-            # A unicast is for its addressee and promiscuous radios alone.
-            codes = np.where(
-                field.mote_ids[dslots] == frame.dest, codes, _ELSEWHERE[codes]
-            )
-        rejected = dslots[_REFUSES[codes]]
-        if rejected.size:
-            field.frames_rejected[rejected] += 1
-        radios = self._radios
-        for mote_id in field.mote_ids[dslots[_CALLS[codes]]].tolist():
-            callback = radios[mote_id]._receive_callback
-            if callback is not None:
-                callback(frame)
-
-    def _codes_for(self, radio: Radio, src: int, audience: list[Radio]) -> "np.ndarray":
-        """Hand-off codes of a frame from ``src`` sent by ``radio``, one per
-        hearer of ``audience`` (so aligned with its slot array).
-
-        A hearer's code says what it does with a received broadcast:
-        ``_NO_HANDLER``, ``_PROMISCUOUS``, ``_HAND_UP``, or ``_REJECTED``
-        when its rule refuses ``src`` (a unicast keeps the addressee's code
-        and maps the others' through ``_ELSEWHERE``).  The codes are
-        ``intp``, so the tables gather them without a cast.  Cached per
-        transmitter while it is attached and sends frames under its own
-        id, and dropped by exactly the hooks that drop ``_hearer_slots``,
-        plus any rule or handler change (which clears them all).
-        """
-        mote_id = radio.mote.id
-        cacheable = radio._slot is not None and src == mote_id
-        if cacheable:
-            codes = self._hearer_codes.get(mote_id)
-            if codes is not None:
-                return codes
-        codes = np.fromiter(
-            (
-                _NO_HANDLER
-                if hearer._receive_callback is None
-                else _PROMISCUOUS
-                if not hearer._addressed
-                else _REJECTED
-                if hearer._senders is not None and src not in hearer._senders
-                else _HAND_UP
-                for hearer in audience
-            ),
-            dtype=np.intp,
-            count=len(audience),
-        )
-        if cacheable:
-            self._hearer_codes[mote_id] = codes
-        return codes
-
-    def _mark_overlaps(
-        self, overlaps: list[Transmission], mark: "np.ndarray"
-    ) -> list["np.ndarray | int"]:
-        """Set ``mark`` at every slot corrupted by the ``overlaps`` frames;
-        returns the slot arrays and single slots to un-mark afterwards."""
-        marked: list["np.ndarray | int"] = []
-        for other in overlaps:
-            other_radio = other.radio
-            oslots = self._slots_for(other_radio, self.hearers(other_radio))
-            mark[oslots] = True
-            marked.append(oslots)
-            # The transmitter's own slot, if it still holds one:
-            # a detached-mid-flight transmitter's slot may have been recycled
-            # to a different radio (and a detached radio cannot be a hearer
-            # anyway, so skipping it loses nothing).
-            own = other_radio._slot
-            if own is not None:
-                mark[own] = True
-                marked.append(own)
-        return marked
-
-    def _gather_overrides(
-        self, tx_id: int, rslots: "np.ndarray"
-    ) -> tuple["np.ndarray | None", "np.ndarray | None"]:
-        """Scatter ``prr_overrides`` rows for ``tx_id`` onto the field's NaN
-        scratch and gather them at the receiver slots.
-
-        Returns ``(mask, values)`` aligned with ``rslots``, or ``(None,
-        None)`` when no override touches this transmitter.  The scratch is
-        restored to all-NaN before returning (only touched entries reset).
-        """
-        overrides = self.prr_overrides
-        if not overrides:
-            return None, None
-        scratch = self.field.scratch_prr
-        slot_of = self.field.slot_of
-        touched: list[int] = []
-        for (src, dst), value in overrides.items():
-            if src != tx_id:
-                continue
-            slot = slot_of.get(dst)
-            if slot is not None:
-                scratch[slot] = value
-                touched.append(slot)
-        if not touched:
-            return None, None
-        values = scratch[rslots]
-        for slot in touched:
-            scratch[slot] = np.nan
-        mask = ~np.isnan(values)
-        if not mask.any():
-            return None, None
-        return mask, values
-

@@ -4,8 +4,10 @@ Link models are pure functions of the two endpoint positions, and positions
 only change through :meth:`Channel.move` / :meth:`Channel.detach` — so the
 PRR of a (src, dst) pair is a perfect memoization target.  At 1000 nodes the
 delivery hot path otherwise recomputes the same distance/PRR arithmetic for
-every frame × receiver, which the PR 3 profiles show dominating once the
-kernel itself is lean.
+every frame × receiver, which dominates profiles once the kernel itself is
+lean.  The cache is a dict of dicts: the channel's per-receiver delivery
+loop resolves a transmitter's row once per frame and then pays one dict
+get per receiver.
 
 The cache is invalidated *incrementally*, riding the same hooks that re-key
 the channel's spatial-hash hearer index: moving or detaching a radio drops
@@ -23,13 +25,7 @@ is actually used and that churn invalidates no more than O(degree) state.
 
 from __future__ import annotations
 
-import typing
-
-from repro.radio._np import np
 from repro.radio.linkmodels import LinkModel, Position
-
-if typing.TYPE_CHECKING:
-    from repro.radio.field import RadioField
 
 
 class LinkCache:
@@ -45,8 +41,6 @@ class LinkCache:
     __slots__ = (
         "_model",
         "_rows",
-        "_row_arrays",
-        "_field",
         "_sources_at",
         "version",
         "cache_hits",
@@ -54,16 +48,10 @@ class LinkCache:
         "cache_invalidations",
     )
 
-    def __init__(self, model: LinkModel, field: "RadioField | None" = None):
+    def __init__(self, model: LinkModel):
         self._model = model
         #: src mote id -> {dst mote id -> prr}.
         self._rows: dict[int, dict[int, float]] = {}
-        #: src mote id -> dense float64 PRR vector indexed by *field slot*
-        #: (NaN = unknown), the vectorized fan-out's view of ``_rows``.
-        #: Derived lazily by :meth:`row_array`, kept in step by :meth:`fill`,
-        #: dropped whenever the backing row changes.
-        self._row_arrays: dict[int, "np.ndarray"] = {}
-        self._field = field
         #: dst mote id -> src ids holding a cached entry toward it, so
         #: invalidating a radio touches only the pairs it participates in.
         self._sources_at: dict[int, set[int]] = {}
@@ -87,35 +75,6 @@ class LinkCache:
             row = self._rows[src_id] = {}
         return row
 
-    def row_array(self, src_id: int) -> "np.ndarray":
-        """The dense PRR vector for one transmitter, indexed by field slot.
-
-        ``NaN`` marks pairs the cache has not resolved yet; the vectorized
-        fan-out isolates those with ``isnan`` and fills them per receiver
-        (through :meth:`fill`, which also patches the array), so the counter
-        semantics — one ``cache_misses`` per unresolved pair, ``cache_hits``
-        for the rest — stay identical to the scalar dict path.
-
-        Rebuilt from the dict row whenever absent or whenever the field has
-        grown past the array's length (capacity doubling), so fancy indexing
-        with current slots can never run out of bounds.
-        """
-        field = self._field
-        assert field is not None, "row_array needs a bound RadioField"
-        arr = self._row_arrays.get(src_id)
-        if arr is not None and arr.size == field.capacity:
-            return arr
-        arr = np.full(field.capacity, np.nan, dtype=np.float64)
-        row = self._rows.get(src_id)
-        if row:
-            slot_of = field.slot_of
-            for dst_id, prr in row.items():
-                slot = slot_of.get(dst_id)
-                if slot is not None:
-                    arr[slot] = prr
-        self._row_arrays[src_id] = arr
-        return arr
-
     def fill(self, src_id: int, src_pos: Position, dst_id: int, dst_pos: Position) -> float:
         """Compute-and-store for a miss already observed on :meth:`row`."""
         self.cache_misses += 1
@@ -124,46 +83,11 @@ class LinkCache:
         if row is None:
             row = self._rows[src_id] = {}
         row[dst_id] = prr
-        arr = self._row_arrays.get(src_id)
-        if arr is not None:
-            slot = self._field.slot_of.get(dst_id) if self._field else None
-            if slot is not None and slot < arr.size:
-                arr[slot] = prr
         sources = self._sources_at.get(dst_id)
         if sources is None:
             sources = self._sources_at[dst_id] = set()
         sources.add(src_id)
         return prr
-
-    def fill_slots(
-        self, src_id: int, src_pos: Position, slots: "np.ndarray"
-    ) -> "np.ndarray":
-        """Vectorized :meth:`fill` for several unresolved receivers at once.
-
-        One ``prr_vector`` model call replaces the per-receiver
-        compute-and-store loop; the dict rows, reverse index, dense row
-        array and ``cache_misses`` counter end up exactly as ``slots.size``
-        scalar fills would have left them (``prr_vector`` is bit-identical
-        to ``prr`` per element — see :mod:`repro.radio.linkmodels`).
-        """
-        field = self._field
-        assert field is not None, "fill_slots needs a bound RadioField"
-        values = self._model.prr_vector(src_pos, field.positions[slots])
-        self.cache_misses += int(slots.size)
-        row = self._rows.get(src_id)
-        if row is None:
-            row = self._rows[src_id] = {}
-        sources_at = self._sources_at
-        for dst_id, prr in zip(field.mote_ids[slots].tolist(), values.tolist()):
-            row[dst_id] = prr
-            sources = sources_at.get(dst_id)
-            if sources is None:
-                sources = sources_at[dst_id] = set()
-            sources.add(src_id)
-        arr = self._row_arrays.get(src_id)
-        if arr is not None and arr.size == field.capacity:
-            arr[slots] = values
-        return values
 
     # ------------------------------------------------------------------
     def invalidate(self, mote_id: int) -> None:
@@ -174,7 +98,6 @@ class LinkCache:
         """
         self.cache_invalidations += 1
         row = self._rows.pop(mote_id, None)
-        self._row_arrays.pop(mote_id, None)
         if row:
             for dst_id in row:
                 sources = self._sources_at.get(dst_id)
@@ -186,16 +109,11 @@ class LinkCache:
                 row = self._rows.get(src_id)
                 if row is not None:
                     row.pop(mote_id, None)
-                # The dst slot may be recycled by the time the array is next
-                # read, so drop the derived vector rather than NaN-ing in
-                # place; it is rebuilt lazily from the surviving dict row.
-                self._row_arrays.pop(src_id, None)
 
     def clear(self) -> None:
         """Forget everything (link-model swap)."""
         self.cache_invalidations += 1
         self._rows.clear()
-        self._row_arrays.clear()
         self._sources_at.clear()
 
     def swap_model(self, model: LinkModel) -> None:

@@ -13,18 +13,18 @@ reliability curves land where the paper measured them (see DESIGN.md §5).
 Zhao & Govindan [25] report exactly this kind of lossy-but-usable link in
 dense deployments.
 
-Each builtin model also answers both questions *vectorized* — one origin
-against an ``(n, 2)`` position array — via :meth:`in_range_mask` and
-:meth:`prr_vector`.  The scalar and vector forms are bit-identical by
-construction: ``_distance`` is ``sqrt(dx*dx + dy*dy)`` through
-:func:`math.sqrt`, which is correctly rounded and therefore agrees with
-``numpy.sqrt`` on every float64 (unlike ``** 0.5``, which routes through
-``pow`` and differs in the last ulp for ~1 input in 1000), and float64
-multiply/subtract are IEEE-exact in both runtimes.  Custom models may omit
-the vector methods; the channel falls back to the scalar loop.  A model
-that defines them must keep ``in_range`` symmetric in its endpoints (all
-distance-based models are), because the channel evaluates the mask from
-either end of a link.
+Each builtin model also answers the first question *vectorized* — one
+origin against an ``(n, 2)`` position array — via :meth:`in_range_mask`,
+which the channel's hearer query uses.  The scalar and vector forms are
+bit-identical by construction: ``_distance`` is ``sqrt(dx*dx + dy*dy)``
+through :func:`math.sqrt`, which is correctly rounded and therefore agrees
+with ``numpy.sqrt`` on every float64 (unlike ``** 0.5``, which routes
+through ``pow`` and differs in the last ulp for ~1 input in 1000), and
+float64 multiply/subtract are IEEE-exact in both runtimes.  Custom models
+may omit ``in_range_mask``; the channel then builds hearer lists with a
+scalar ``in_range`` loop.  A model that defines it must keep ``in_range``
+symmetric in its endpoints (all distance-based models are), because the
+channel evaluates the mask from either end of a link.
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class PerfectLinks:
     def prr(self, src: Position, dst: Position) -> float:
         return 1.0 if self.in_range(src, dst) else 0.0
 
-    def prr_vector(self, origin: Position, positions: "np.ndarray") -> "np.ndarray":
-        return np.where(self.in_range_mask(origin, positions), 1.0, 0.0)
-
 
 class UniformLossLinks:
     """A fixed PRR for every in-range link.
@@ -111,9 +108,6 @@ class UniformLossLinks:
 
     def prr(self, src: Position, dst: Position) -> float:
         return self._prr if self.in_range(src, dst) else 0.0
-
-    def prr_vector(self, origin: Position, positions: "np.ndarray") -> "np.ndarray":
-        return np.where(self.in_range_mask(origin, positions), self._prr, 0.0)
 
 
 class DistancePrrLinks:
@@ -152,13 +146,3 @@ class DistancePrrLinks:
             return self.prr_connected
         span = self.range_m - self.connected_m
         return self.prr_connected * (self.range_m - distance) / span
-
-    def prr_vector(self, origin: Position, positions: "np.ndarray") -> "np.ndarray":
-        distance = _distance_vector(origin, positions)
-        span = self.range_m - self.connected_m
-        if span <= 0.0:
-            # connected_m == range_m: no transitional region exists.
-            return np.where(distance > self.range_m, 0.0, self.prr_connected)
-        prr = self.prr_connected * (self.range_m - distance) / span
-        prr = np.where(distance <= self.connected_m, self.prr_connected, prr)
-        return np.where(distance > self.range_m, 0.0, prr)

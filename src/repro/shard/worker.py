@@ -343,16 +343,12 @@ class ShardWorker:
             radio, frame, envelope.start, envelope.end, corrupted=envelope.corrupted
         )
         radio._current_tx = tx
-        if radio._slot is not None:
-            self.channel.field.begin_tx(radio._slot, tx.start)
         self.channel.begin_transmission(tx)
         self.ghost_frames += 1
         self.sim.schedule_at(envelope.end, self._replay_end, radio, tx)
 
     def _replay_end(self, radio, tx: Transmission) -> None:
         radio._current_tx = None
-        if radio._slot is not None:
-            self.channel.field.end_tx(radio._slot)
         self.channel.end_transmission(tx)
 
     # ------------------------------------------------------------------

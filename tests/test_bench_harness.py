@@ -168,48 +168,6 @@ class TestKernelBench:
         assert (tmp_path / "BENCH_kernel.json").exists()
 
 
-class TestFanoutBench:
-    def test_run_one_measures_both_delivery_paths(self):
-        from repro.bench.fanout import run_one
-
-        row = run_one(25, "dense", seed=1, reps=40)
-        # All-in-range: everyone but the hub hears the hub.
-        assert row["mean_hearers"] == 24
-        assert row["receptions"] > 0
-        assert row["events_per_s"] > 0
-        assert row["scalar_events_per_s"] > 0
-        assert row["speedup"] > 0
-
-    def test_cli_fanout_writes_compare_compatible_json(self, tmp_path, capsys):
-        import json
-
-        assert main(["fanout", "--nodes", "16", "--out", str(tmp_path)]) == 0
-        assert "fanout" in capsys.readouterr().out
-        # One table: the carrier-sense table is retired with its threshold.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_fanout.json", "fanout.txt"]
-        payload = json.loads((tmp_path / "BENCH_fanout.json").read_text())
-        cases = [row["case"] for row in payload["rows"]]
-        # Two row families share the artifact: fan-out sweep cells and the
-        # break-even audience ladder.
-        assert cases[:3] == ["16n-sparse", "16n-mid", "16n-dense"]
-        from repro.bench.fanout import BREAK_EVEN_AUDIENCES
-
-        assert cases[3:] == [f"breakeven-{n}h" for n in BREAK_EVEN_AUDIENCES]
-        assert len(cases) == len(set(cases))  # "case" stays a unique row key
-        # The gate keys on "case" and reads "events_per_s" — the same row
-        # identity contract `bench compare` matches on.
-        assert all(row["events_per_s"] > 0 for row in payload["rows"])
-        assert all(
-            row["scalar_events_per_s"] > 0 and row["speedup"] > 0
-            for row in payload["rows"]
-        )
-        from repro.bench.compare import compare_artifacts
-
-        path = str(tmp_path / "BENCH_fanout.json")
-        _, regressions = compare_artifacts(path, path, max_drop_pct=20.0)
-        assert regressions == []
-
-
 class TestProfileSubcommand:
     def test_profile_writes_top_n_table(self, tmp_path, capsys):
         import json
