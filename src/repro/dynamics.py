@@ -371,22 +371,16 @@ class DeploymentDynamics:
     def _field_bounds(self, field: Sequence[Location]) -> Bounds:
         if not field:
             return (0.0, 0.0, 0.0, 0.0)
-        # One gather + four reductions over the radio field's position arrays
-        # instead of a tuple per node.  min/max over float64 is exact and the
-        # arrays mirror the very values position_of would return, so the
-        # bounds — which feed the waypoint RNG draws — are bit-identical.
+        # The radios' exact extreme coordinates (min/max never rounds): the
+        # bounds feed the waypoint RNG draws.
         net = self.net
-        radio_field = net.field
-        slot_of = radio_field.slot_of
-        mote_id = net.topology.mote_id
-        slots = [slot_of[mote_id(location)] for location in field]
-        gathered = radio_field.positions[slots]
+        xs, ys = zip(*(net.position_of(location) for location in field))
         pad = net.channel.grid_spacing_m  # one grid unit of slack
         return (
-            float(gathered[:, 0].min()) - pad,
-            float(gathered[:, 1].min()) - pad,
-            float(gathered[:, 0].max()) + pad,
-            float(gathered[:, 1].max()) + pad,
+            float(min(xs)) - pad,
+            float(min(ys)) - pad,
+            float(max(xs)) + pad,
+            float(max(ys)) + pad,
         )
 
     def _select_mobile(self, field, mobile) -> list[Location]:

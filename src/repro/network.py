@@ -309,14 +309,6 @@ class SensorNetwork:
         """Current *physical* position (meters) of the node's radio."""
         return self._radio(location).position
 
-    @property
-    def field(self):
-        """The channel's :class:`~repro.radio.field.RadioField`: per-radio
-        positions and attach order as contiguous arrays, kept in sync by the
-        same hooks as the hearer index.  Array-level consumers (dynamics
-        bounds) read through here instead of walking radios."""
-        return self.channel.field
-
     def move_node(
         self, location: Location | tuple[int, int], position: tuple[float, float]
     ) -> None:

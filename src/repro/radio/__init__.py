@@ -1,6 +1,5 @@
 """CC1000 radio model: frames, link models, CSMA broadcast channel."""
 
-from repro.radio._np import NUMPY_FLOOR
 from repro.radio.channel import (
     EFFECTIVE_BITRATE,
     Channel,
@@ -8,7 +7,6 @@ from repro.radio.channel import (
     Radio,
     Transmission,
 )
-from repro.radio.field import RadioField
 from repro.radio.frame import FRAME_OVERHEAD_BYTES, MAX_PAYLOAD, Frame
 from repro.radio.linkcache import LinkCache
 from repro.radio.linkmodels import (
@@ -22,12 +20,10 @@ from repro.radio.linkmodels import (
 
 __all__ = [
     "EFFECTIVE_BITRATE",
-    "NUMPY_FLOOR",
     "Channel",
     "MacParams",
     "Radio",
     "Transmission",
-    "RadioField",
     "FRAME_OVERHEAD_BYTES",
     "MAX_PAYLOAD",
     "Frame",

@@ -30,10 +30,10 @@ than the stacks do.
 
 Carrier sense is one early-exit scan: ``busy_for`` walks the handful of
 on-air transmissions and stops at the first one audible at the sensing
-radio (nothing on the air costs one list check).  The hearer queries are
-array-native: ``hearers()`` builds its audience from spatial-hash cells kept
-as field-slot lists — concatenate, one vectorized ``in_range_mask``, one
-argsort by attach sequence.  Neither consumes RNG, so they cannot perturb a
+radio (nothing on the air costs one list check).  A hearer query is one
+walk: ``hearers()`` tests the link model's ``in_range`` against each radio
+in the 9 spatial-hash cells around the transmitter and sorts the audience
+by attach sequence.  Neither consumes RNG, so they cannot perturb a
 fixed-seed stream at all; the hypothesis interleaving property pins
 ``busy_for`` == a naive every-transmission walk after every mutation.
 """
@@ -48,8 +48,6 @@ from typing import Callable, Iterable
 
 from repro.errors import RadioError
 from repro.mote.mote import Mote
-from repro.radio._np import np
-from repro.radio.field import RadioField
 from repro.radio.frame import Frame
 from repro.radio.linkcache import LinkCache
 from repro.radio.linkmodels import LinkModel, Position, UniformLossLinks
@@ -123,7 +121,7 @@ class Radio:
         self._send_pending = False
         self._pending_carrier_sense = None  # armed backoff's EventHandle; None once fired
         self._attach_seq = 0  # set by Channel.attach; orders hearer lists
-        self._slot: int | None = None  # RadioField slot; None once detached
+        self._attached = False  # set by Channel.attach, cleared by detach
         # Statistics used by the benchmarks.
         self.frames_sent = 0
         self.frames_received = 0
@@ -340,10 +338,6 @@ class Channel:
         self.rng = random.Random(f"{sim.seed}/channel")
         self._radios: dict[int, Radio] = {}
         self._attach_counter = 0
-        #: Contiguous per-radio positions and attach order for the hearer
-        #: queries, mirrored through the same hooks that maintain the hearer
-        #: index (see :mod:`repro.radio.field`).
-        self.field = RadioField()
         #: The handful of transmissions currently on the air: what carrier
         #: sense scans, and the source of each new frame's overlap set.  A
         #: radio that detaches mid-flight leaves its frame here until the
@@ -355,9 +349,9 @@ class Channel:
         # attach/move/detach/model hooks.
         self._hearers: dict[int, list[Radio]] = {}
         self._hearer_ids: dict[int, frozenset[int]] = {}
-        #: Spatial hash: cell -> field slots of the radios in it (cell size =
-        #: radio range), the index base a hearer query concatenates.
-        self._cells: dict[tuple[int, int], list[int]] | None = None
+        #: Spatial hash: cell -> the radios in it (cell size = radio range),
+        #: the candidates a hearer query walks.
+        self._cells: dict[tuple[int, int], list[Radio]] | None = None
         self._cell_size: float = 0.0
         #: Memoized per-pair PRRs (see :mod:`repro.radio.linkcache`).
         self.link_cache = LinkCache(self._link_model)
@@ -414,9 +408,7 @@ class Channel:
         radio._attach_seq = self._attach_counter
         self._attach_counter += 1
         self._radios[mote.id] = radio
-        radio._slot = self.field.allocate(
-            mote.id, position, attach_seq=radio._attach_seq
-        )
+        radio._attached = True
         mote.radio = radio
         # A re-used mote id (detach then re-attach) must not inherit the
         # departed radio's cached link quality.
@@ -443,12 +435,11 @@ class Channel:
         ``position`` — the only caches a change at ``position`` can affect,
         since audibility is bounded by the cell size (= radio range)."""
         assert self._cells is not None
-        mote_ids = self.field.mote_ids
         cx, cy = self._cell_of(position)
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
-                for slot in self._cells.get((cx + dx, cy + dy), ()):
-                    self._drop_cached(int(mote_ids[slot]))
+                for radio in self._cells.get((cx + dx, cy + dy), ()):
+                    self._drop_cached(radio.mote.id)
 
     def move(self, mote_id: int, position: Position) -> None:
         """Move a radio to a new physical position, re-keying incrementally.
@@ -468,9 +459,6 @@ class Channel:
         # the cached PRR pairs it participates in, whatever happens to the
         # spatial hash below.
         self.link_cache.invalidate(mote_id)
-        # Nothing below reads a field position, so one write up front
-        # covers every branch (attached radios always hold a slot).
-        self.field.set_position(radio._slot, position)
         if self._cells is None:
             radio.position = position  # index not built yet: nothing to re-key
             return
@@ -484,10 +472,10 @@ class Channel:
         new_cell = self._cell_of(position)
         if new_cell != old_cell:
             bucket = self._cells[old_cell]
-            bucket.remove(radio._slot)
+            bucket.remove(radio)
             if not bucket:
                 del self._cells[old_cell]
-            self._cells.setdefault(new_cell, []).append(radio._slot)
+            self._cells.setdefault(new_cell, []).append(radio)
             # Same-cell moves share the old position's 9-cell ring, already
             # dropped above; only a cell crossing exposes new lists.
             self._drop_cached_near(position)
@@ -515,34 +503,30 @@ class Channel:
                 self._drop_cached_near(radio.position)
                 cell = self._cell_of(radio.position)
                 bucket = self._cells.get(cell)
-                if bucket is not None and radio._slot in bucket:
-                    bucket.remove(radio._slot)
+                if bucket is not None and radio in bucket:
+                    bucket.remove(radio)
                     if not bucket:
                         del self._cells[cell]
         self._drop_cached(mote_id)
-        self.field.release(mote_id)
-        radio._slot = None
+        radio._attached = False
         return radio
 
     def _ensure_cells(self) -> None:
         """(Re)build the spatial hash: cell size = radio range, so any pair
         within range lands in the same or an adjacent cell.  Buckets hold
-        *field slots*, so a hearer query concatenates them straight into a
-        fancy index over the field arrays."""
+        the radios themselves, the candidates a hearer query walks."""
         if self._cells is not None:
             return
         range_m = getattr(self._link_model, "range_m", None)
-        cells: dict[tuple[int, int], list[int]] = {}
+        cells: dict[tuple[int, int], list[Radio]] = {}
         if range_m is None or not (range_m > 0.0) or not math.isfinite(range_m):
             # Unknown reach: one bucket, candidates degrade to all radios.
             self._cell_size = 0.0
-            cells[(0, 0)] = [radio._slot for radio in self._radios.values()]
+            cells[(0, 0)] = list(self._radios.values())
         else:
             self._cell_size = float(range_m)
             for radio in self._radios.values():
-                cells.setdefault(self._cell_of(radio.position), []).append(
-                    radio._slot
-                )
+                cells.setdefault(self._cell_of(radio.position), []).append(radio)
         self._cells = cells
 
     def _cell_of(self, position: Position) -> tuple[int, int]:
@@ -553,8 +537,8 @@ class Channel:
             math.floor(position[1] / self._cell_size),
         )
 
-    def _candidate_buckets(self, position: Position) -> list[list[int]]:
-        """The spatial-hash slot buckets a radio at ``position`` could hear
+    def _candidate_buckets(self, position: Position) -> list[list[Radio]]:
+        """The spatial-hash buckets a radio at ``position`` could hear
         across (its own cell and the 8 surrounding ones)."""
         assert self._cells is not None
         if self._cell_size <= 0.0:
@@ -570,64 +554,38 @@ class Channel:
                     buckets.append(bucket)
         return buckets
 
-    def _selected_slots(self, position: Position, own_slot: int | None) -> "np.ndarray":
-        """Field slots within link range of ``position`` (excluding
-        ``own_slot``), sorted by attach sequence: one concatenation, one
-        vectorized distance mask, one argsort.  Requires a link model with
-        the ``in_range_mask`` hook."""
-        buckets = self._candidate_buckets(position)
-        count = sum(len(bucket) for bucket in buckets)
-        field = self.field
-        candidates = np.fromiter(
-            (slot for bucket in buckets for slot in bucket),
-            dtype=np.intp,
-            count=count,
-        )
-        mask = self._link_model.in_range_mask(position, field.positions[candidates])
-        if own_slot is not None:
-            mask &= candidates != own_slot
-        selected = candidates[mask]
-        return selected[np.argsort(field.attach_seq[selected])]
-
     def hearers(self, radio: Radio) -> list[Radio]:
         """Radios the link model lets hear ``radio``, in attach order.
 
-        Cached per mote id while the radio is attached.  A radio that
-        detached with a frame still on the air is in no spatial-hash cell,
-        so no later :meth:`move` or :meth:`detach` would drop a list cached
-        for it, and a re-attached radio may reuse its id: its audience is
-        recomputed on every call instead.
+        One walk over the radios in the 9 spatial-hash cells around
+        ``radio`` (all radios for an unbounded link model), testing
+        ``in_range`` on each, then a sort by attach sequence: the order the
+        fan-out draws its loss decisions in.  Cached per mote id while the
+        radio is attached.  A radio that detached with a frame still on the
+        air is in no spatial-hash cell, so no later :meth:`move` or
+        :meth:`detach` would drop a list cached for it, and a re-attached
+        radio may reuse its id: its audience is recomputed on every call
+        instead.
         """
         mote_id = radio.mote.id
-        detached = radio._slot is None
-        if not detached:
+        attached = radio._attached
+        if attached:
             cached = self._hearers.get(mote_id)
             if cached is not None:
                 return cached
         self._ensure_cells()
-        if hasattr(self._link_model, "in_range_mask"):
-            slots = self._selected_slots(radio.position, radio._slot)
-            radios = self._radios
-            ids = self.field.mote_ids[slots].tolist()
-            audience = [radios[mote] for mote in ids]
-        else:
-            # Scalar fallback for link models without the vector hook.
-            in_range = self._link_model.in_range
-            position = radio.position
-            radios = self._radios
-            mote_ids = self.field.mote_ids
-            audience = [
-                other
-                for bucket in self._candidate_buckets(position)
-                for slot in bucket
-                if (other := radios[int(mote_ids[slot])]) is not radio
-                and in_range(position, other.position)
-            ]
-            audience.sort(key=lambda r: r._attach_seq)
-            ids = [r.mote.id for r in audience]
-        if detached:
+        in_range = self._link_model.in_range
+        position = radio.position
+        audience = [
+            other
+            for bucket in self._candidate_buckets(position)
+            for other in bucket
+            if other is not radio and in_range(position, other.position)
+        ]
+        audience.sort(key=lambda other: other._attach_seq)
+        if not attached:
             return audience
-        self._hearer_ids[mote_id] = frozenset(ids)
+        self._hearer_ids[mote_id] = frozenset(other.mote.id for other in audience)
         self._hearers[mote_id] = audience
         return audience
 
@@ -635,14 +593,14 @@ class Channel:
         """The mote ids of ``hearers(radio)``, cached with the list while
         ``radio`` is attached."""
         audience = self.hearers(radio)
-        if radio._slot is None:
+        if not radio._attached:
             return frozenset(r.mote.id for r in audience)
         return self._hearer_ids[radio.mote.id]
 
     def _can_hear(self, src: Radio, dst: Radio) -> bool:
         """Is ``src``'s carrier audible at ``dst``?  O(1) after caching."""
         ids = self._hearer_ids.get(src.mote.id)
-        if ids is None or src._slot is None:
+        if ids is None or not src._attached:
             ids = self._audible_ids(src)
         return dst.mote.id in ids
 

@@ -13,26 +13,16 @@ reliability curves land where the paper measured them (see DESIGN.md §5).
 Zhao & Govindan [25] report exactly this kind of lossy-but-usable link in
 dense deployments.
 
-Each builtin model also answers the first question *vectorized* — one
-origin against an ``(n, 2)`` position array — via :meth:`in_range_mask`,
-which the channel's hearer query uses.  The scalar and vector forms are
-bit-identical by construction: ``_distance`` is ``sqrt(dx*dx + dy*dy)``
-through :func:`math.sqrt`, which is correctly rounded and therefore agrees
-with ``numpy.sqrt`` on every float64 (unlike ``** 0.5``, which routes
-through ``pow`` and differs in the last ulp for ~1 input in 1000), and
-float64 multiply/subtract are IEEE-exact in both runtimes.  Custom models
-may omit ``in_range_mask``; the channel then builds hearer lists with a
-scalar ``in_range`` loop.  A model that defines it must keep ``in_range``
-symmetric in its endpoints (all distance-based models are), because the
-channel evaluates the mask from either end of a link.
+``in_range`` is the one hearer predicate: the channel's hearer query tests
+it from the transmitter against every radio in the surrounding spatial-hash
+cells, so a model with a finite ``range_m`` must answer ``False`` beyond
+it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Protocol
-
-from repro.radio._np import np
 
 Position = tuple[float, float]
 
@@ -47,17 +37,10 @@ DEFAULT_PRR = 0.925
 
 
 def _distance(a: Position, b: Position) -> float:
+    # Not math.dist/hypot or a squared compare: either can flip a boundary pair.
     dx = a[0] - b[0]
     dy = a[1] - b[1]
     return math.sqrt(dx * dx + dy * dy)
-
-
-def _distance_vector(origin: Position, positions: "np.ndarray") -> "np.ndarray":
-    """Distances from ``origin`` to each row of an ``(n, 2)`` array,
-    bit-identical to :func:`_distance` per element (see module docstring)."""
-    dx = positions[:, 0] - origin[0]
-    dy = positions[:, 1] - origin[1]
-    return np.sqrt(dx * dx + dy * dy)
 
 
 class LinkModel(Protocol):
@@ -79,9 +62,6 @@ class PerfectLinks:
     def in_range(self, src: Position, dst: Position) -> bool:
         return _distance(src, dst) <= self.range_m
 
-    def in_range_mask(self, origin: Position, positions: "np.ndarray") -> "np.ndarray":
-        return _distance_vector(origin, positions) <= self.range_m
-
     def prr(self, src: Position, dst: Position) -> float:
         return 1.0 if self.in_range(src, dst) else 0.0
 
@@ -102,9 +82,6 @@ class UniformLossLinks:
 
     def in_range(self, src: Position, dst: Position) -> bool:
         return _distance(src, dst) <= self.range_m
-
-    def in_range_mask(self, origin: Position, positions: "np.ndarray") -> "np.ndarray":
-        return _distance_vector(origin, positions) <= self.range_m
 
     def prr(self, src: Position, dst: Position) -> float:
         return self._prr if self.in_range(src, dst) else 0.0
@@ -134,9 +111,6 @@ class DistancePrrLinks:
 
     def in_range(self, src: Position, dst: Position) -> bool:
         return _distance(src, dst) <= self.range_m
-
-    def in_range_mask(self, origin: Position, positions: "np.ndarray") -> "np.ndarray":
-        return _distance_vector(origin, positions) <= self.range_m
 
     def prr(self, src: Position, dst: Position) -> float:
         distance = _distance(src, dst)

@@ -210,7 +210,7 @@ def partition_topology(
 
     # --- mirror sets ------------------------------------------------------
     # Spatial hash with cell == range_m: audible pairs share a cell or touch
-    # neighboring cells (the same bound the RadioField's hearer index uses).
+    # neighboring cells (the same bound the channel's hearer index uses).
     cell = max(range_m, 1e-9)
     buckets: dict[tuple[int, int], list[Location]] = {}
     for loc in locations:

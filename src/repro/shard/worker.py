@@ -1,11 +1,12 @@
 """One shard: a full simulator stack over one region, plus the seam protocol.
 
 A :class:`ShardWorker` owns a region-local :class:`~repro.network.SensorNetwork`
-(its own :class:`~repro.sim.kernel.Simulator`, :class:`~repro.radio.channel.Channel`
-and ``RadioField``) built from a :class:`~repro.shard.partition.RegionTopology`
-that preserves global mote ids.  Foreign boundary motes are attached as
-**ghosts** — real :class:`~repro.radio.channel.Radio` objects, permanently
-disabled.  A disabled radio is never an eligible receiver (no RNG draws, no
+(its own :class:`~repro.sim.kernel.Simulator` and
+:class:`~repro.radio.channel.Channel`) built from a
+:class:`~repro.shard.partition.RegionTopology` that preserves global mote
+ids.  Foreign boundary motes are attached as **ghosts** — real
+:class:`~repro.radio.channel.Radio` objects, permanently disabled.  A
+disabled radio is never an eligible receiver (no RNG draws, no
 ``frames_received``), but its transmissions still occupy the field, so
 carrier sense and collision accounting at the seam behave exactly as if the
 foreign mote were local.
@@ -120,8 +121,8 @@ class ShardWorker:
 
         # --- ghosts: foreign boundary motes, attached disabled ------------
         # Attached after every real mote so real attach order (and therefore
-        # field slots, hearer ordering, and RNG consumption) matches a build
-        # of the region alone.
+        # hearer ordering and RNG consumption) matches a build of the region
+        # alone.
         self._ghost_radios: dict[int, object] = {}
         for j in sorted(partition.ghosts.get(index, {})):
             for mote_id, location in partition.ghosts[index][j]:

@@ -367,8 +367,18 @@ class Simulator:
                 self._now = deadline
 
     def run_until_idle(self, max_events: int = 1_000_000) -> None:
-        """Drain the queue completely (bounded by ``max_events``)."""
+        """Drain the queue completely.
+
+        Raises :class:`SimulationError` if ``max_events`` callbacks fired
+        and live events are still queued (a recurring event never drains):
+        a capped drain is not idle.  A :meth:`stop` ends the drain quietly.
+        """
         self.run(max_events=max_events)
+        if self._pending and not self._stopped:
+            raise SimulationError(
+                f"run_until_idle stopped at max_events={max_events} with "
+                f"pending_events={self._pending}"
+            )
 
     def stop(self) -> None:
         """Stop a ``run`` in progress after the current event returns."""

@@ -152,24 +152,6 @@ class Topology:
         """Physical coordinates in meters (grid units × spacing)."""
         return (location.x * spacing_m, location.y * spacing_m)
 
-    def positions_array(self, spacing_m: float = 1.0) -> "object":
-        """All node positions as an N×2 float64 array, in mote-id order.
-
-        Row ``i`` is the position of mote id ``i + 1`` — the same dense
-        ordering the radio field's slot allocator assigns during a bulk
-        deployment, so benchmarks and array-level consumers can cross-index
-        without a per-node dict hop.  Imported lazily so topologies stay
-        usable where only the stdlib-backed API is needed.
-        """
-        from repro.radio._np import np
-
-        locations = self.locations()
-        out = np.empty((len(locations), 2), dtype=np.float64)
-        for index, location in enumerate(locations):
-            out[index, 0] = location.x * spacing_m
-            out[index, 1] = location.y * spacing_m
-        return out
-
     def gateway(self) -> Location:
         """Where a base station bridges into the field: the node nearest the
         base station's well-known (0, 0) address (ties broken by coordinates,

@@ -1,14 +1,15 @@
 """Dynamics subsystem: incremental channel re-keying, mobility, churn, duty.
 
 The load-bearing contract here is the radio channel's *incremental* hearer
-index: after any interleaving of moves, failures, recoveries, and departures,
-the cached index must equal one rebuilt from scratch (hypothesis pins this),
+index: after any interleaving of moves, failures, recoveries, departures and
+re-attachments, the cached index must equal brute force in attach order and
+one rebuilt from scratch (hypothesis pins this),
 and a mobility tick must never trigger a full rebuild (counter assertions pin
 that — the O(degree) claim of ISSUE 2's acceptance criteria).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dynamics import (
@@ -192,6 +193,12 @@ ops = st.lists(
         st.tuples(st.just("fail"), st.integers(min_value=0, max_value=11)),
         st.tuples(st.just("recover"), st.integers(min_value=0, max_value=11)),
         st.tuples(st.just("detach"), st.integers(min_value=0, max_value=11)),
+        st.tuples(
+            st.just("attach"),
+            st.integers(min_value=0, max_value=11),
+            st.floats(min_value=-6.0, max_value=6.0, allow_nan=False),
+            st.floats(min_value=-6.0, max_value=6.0, allow_nan=False),
+        ),
         st.tuples(st.just("query"), st.integers(min_value=0, max_value=11)),
     ),
     min_size=0,
@@ -201,6 +208,7 @@ ops = st.lists(
 
 class TestIncrementalIndexProperty:
     @given(ops)
+    @example([("detach", 1), ("attach", 1, 0.5, 0.5), ("move", 0, 0.0, 1.0), ("query", 1)])
     @settings(max_examples=120, deadline=None)
     def test_index_matches_scratch_rebuild_after_any_interleaving(self, operations):
         positions = [(1.5 * (i % 4), 1.5 * (i // 4)) for i in range(12)]
@@ -219,17 +227,25 @@ class TestIncrementalIndexProperty:
                 radio.enabled = True
             elif op[0] == "detach" and radio is not None:
                 channel.detach(mote_id)
+            elif op[0] == "attach" and radio is None:
+                # A departed id comes back as a new radio somewhere else.
+                channel.attach(make_mote(sim, mote_id, 0, 0), position=(op[2], op[3]))
             elif op[0] == "query" and radio is not None:
                 channel.hearers(radio)  # interleave cache (re)population
 
-        # The incremental index must agree with brute force over live radios…
+        # The incremental index must agree with brute force over live radios,
+        # in attach order: the order the fan-out draws its loss decisions in.
         for radio in channel.radios:
             expected = sorted(
-                other.mote.id
-                for other in channel.radios
-                if other is not radio and model.in_range(radio.position, other.position)
+                (
+                    other
+                    for other in channel.radios
+                    if other is not radio
+                    and model.in_range(radio.position, other.position)
+                ),
+                key=lambda other: other._attach_seq,
             )
-            assert sorted(r.mote.id for r in channel.hearers(radio)) == expected
+            assert channel.hearers(radio) == expected
 
         # …and with itself after a from-scratch rebuild (order included).
         incremental = {r.mote.id: list(channel.hearers(r)) for r in channel.radios}
@@ -404,7 +420,13 @@ class TestDeploymentDynamics:
         ).start()
         net.run(20.0)
         assert dynamics.radio_toggles > 0
-        net.sim.run_until_idle()  # drain; all radios settle per their phase
+        toggles = dynamics.radio_toggles
+        net.run(8.0)
+        assert dynamics.radio_toggles > toggles  # two more duty periods
+        dynamics.stop()
+        toggles = dynamics.radio_toggles
+        net.run(8.0)
+        assert dynamics.radio_toggles == toggles
 
     def test_duty_tick_is_o_changes_not_o_field(self):
         """The acceptance criterion: a tick with no due toggles does zero

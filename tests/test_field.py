@@ -1,104 +1,90 @@
-"""The RadioField array mirror: slot lifecycle and the channel hooks that write it."""
+"""The channel's per-radio bookkeeping that the hearer query reads: positions,
+attach order, detach and re-attach of a mote id."""
 
-import pytest
-
-from repro.radio import Channel, PerfectLinks, RadioField
+from repro.radio import Channel, PerfectLinks
 from repro.sim import Simulator
 from tests.test_radio import make_mote
 
 
-class TestSlotLifecycle:
-    def test_allocate_seeds_state_and_maps_both_ways(self):
-        field = RadioField(capacity=2)
-        slot = field.allocate(7, (1.5, 2.5), attach_seq=4)
-        assert field.slot_of[7] == slot
-        assert field.mote_ids[slot] == 7
-        assert field.positions[slot].tolist() == [1.5, 2.5]
-        assert field.attach_seq[slot] == 4
-        assert len(field) == 1
-
-    def test_duplicate_allocate_rejected(self):
-        field = RadioField()
-        field.allocate(1, (0.0, 0.0))
-        with pytest.raises(ValueError):
-            field.allocate(1, (1.0, 1.0))
-
-    def test_release_resets_state_and_recycles_lifo(self):
-        field = RadioField(capacity=4)
-        a = field.allocate(1, (0.0, 0.0), attach_seq=9)
-        field.release(1)
-        assert 1 not in field.slot_of
-        assert field.mote_ids[a] == -1
-        assert field.attach_seq[a] == -1
-        # LIFO recycling keeps the arrays dense under churn, and a recycled
-        # slot starts clean for the next mote.
-        assert field.allocate(2, (3.0, 3.0), attach_seq=10) == a
-        assert field.mote_ids[a] == 2
-        assert field.attach_seq[a] == 10
-
-    def test_growth_preserves_slots_and_resizes_columns(self):
-        field = RadioField(capacity=2)
-        slots = [field.allocate(i, (float(i), 0.0), attach_seq=i) for i in range(1, 8)]
-        assert field.capacity >= 7
-        assert len(field.positions) == field.capacity
-        assert field.attach_seq.size == field.mote_ids.size == field.capacity
-        for mote_id, slot in zip(range(1, 8), slots):
-            assert field.slot_of[mote_id] == slot
-            assert field.positions[slot, 0] == float(mote_id)
-            assert field.attach_seq[slot] == mote_id
-
-    def test_growth_extends_sense_arrays_with_neutral_fills(self):
-        # The columns the hearer query (and so carrier sense) reads: a
-        # slot added by growth must read as free until it is allocated.
-        field = RadioField(capacity=2)
-        for i in range(1, 6):
-            field.allocate(i, (float(i), 0.0), attach_seq=i)
-        free = [s for s in range(field.capacity) if s not in field.slot_of.values()]
-        assert free
-        assert all(field.attach_seq[s] == -1 for s in free)
-        assert all(field.mote_ids[s] == -1 for s in free)
-
-
 class TestChannelMirrors:
-    """The field is written through exactly the channel's existing hooks."""
+    """Each radio's position and attach sequence live on the radio itself,
+    written only by the channel's attach/move/detach hooks."""
 
-    def _deploy(self, count=3, link_model=None):
+    def _deploy(self, count=3, order=None):
         sim = Simulator(seed=0)
-        channel = Channel(sim, link_model or PerfectLinks(), grid_spacing_m=1.0)
-        radios = [
-            channel.attach(make_mote(sim, i + 1, i, 0)) for i in range(count)
-        ]
+        channel = Channel(sim, PerfectLinks(range_m=2.0), grid_spacing_m=1.0)
+        ids = order or list(range(1, count + 1))
+        radios = [channel.attach(make_mote(sim, i, i - 1, 0)) for i in ids]
         return sim, channel, radios
+
+    @staticmethod
+    def _brute_hearers(channel, radio):
+        audience = [
+            other
+            for other in channel.radios
+            if other is not radio
+            and channel._link_model.in_range(radio.position, other.position)
+        ]
+        return sorted(audience, key=lambda other: other._attach_seq)
 
     def test_attach_and_move_mirror_positions(self):
         sim, channel, radios = self._deploy()
-        field = channel.field
-        slot = radios[1]._slot
-        assert field.positions[slot].tolist() == list(radios[1].position)
+        assert [r.position for r in radios] == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        # Build the index first, so the move below re-keys it incrementally.
+        assert channel.hearers(radios[0]) == [radios[1], radios[2]]
         channel.move(2, (9.0, 4.0))
-        assert field.positions[slot].tolist() == [9.0, 4.0]
         assert radios[1].position == (9.0, 4.0)
+        assert channel.radio_for(2) is radios[1]
+        for radio in radios:
+            assert channel.hearers(radio) == self._brute_hearers(channel, radio)
+        assert channel.hearers(radios[0]) == [radios[2]]
+        assert channel.hearers(radios[1]) == []
 
     def test_detach_frees_the_slot(self):
         sim, channel, radios = self._deploy()
-        field = channel.field
-        slot = radios[2]._slot
-        channel.detach(3)
-        assert radios[2]._slot is None
-        assert 3 not in field.slot_of
-        assert field.mote_ids[slot] == -1
+        for radio in radios:
+            channel.hearers(radio)  # cache every list before the detach
+        departed = channel.detach(3)
+        assert departed is radios[2]
+        assert not departed._attached
+        assert not departed.enabled
+        assert channel.radio_for(3) is None
+        assert departed not in channel.radios
+        for radio in radios[:2]:
+            assert departed not in channel.hearers(radio)
+            assert channel.hearers(radio) == self._brute_hearers(channel, radio)
+        # The id is free again.
+        assert channel.attach(make_mote(sim, 3, 2, 0)).mote.id == 3
 
     def test_attach_seq_mirrors_attach_order(self):
-        sim, channel, radios = self._deploy()
-        field = channel.field
-        seqs = [int(field.attach_seq[r._slot]) for r in radios]
+        # Attached out of id order: hearer lists follow attach order, not ids.
+        sim, channel, radios = self._deploy(order=[3, 1, 2])
+        seqs = [r._attach_seq for r in radios]
         assert seqs == sorted(seqs)
-        assert seqs == [r._attach_seq for r in radios]
+        assert len(set(seqs)) == len(seqs)
+        by_id = {r.mote.id: r for r in radios}
+        assert channel.hearers(by_id[2]) == [by_id[3], by_id[1]]
+        for radio in radios:
+            audience = channel.hearers(radio)
+            assert [r._attach_seq for r in audience] == sorted(
+                r._attach_seq for r in audience
+            )
 
     def test_reattached_id_gets_fresh_state(self):
         sim, channel, radios = self._deploy()
+        for radio in radios:
+            channel.hearers(radio)
         channel.detach(2)
-        radio = channel.attach(make_mote(sim, 2, 7, 7))
-        slot = radio._slot
-        assert channel.field.positions[slot].tolist() == [7.0, 7.0]
-        assert channel.field.attach_seq[slot] == radio._attach_seq > radios[2]._attach_seq
+        radio = channel.attach(make_mote(sim, 2, 7, 7), position=(1.0, 1.0))
+        assert radio is not radios[1]
+        assert channel.radio_for(2) is radio
+        assert radio.position == (1.0, 1.0)
+        assert radio._attached and not radios[1]._attached
+        assert radio._attach_seq > max(r._attach_seq for r in radios)
+        # The newcomer hears, and is heard, as the last-attached radio; the
+        # departed radio under the same id is in no list.
+        assert channel.hearers(radios[0]) == [radios[2], radio]
+        assert channel.hearers(radio) == [radios[0], radios[2]]
+        for other in (radios[0], radios[2], radio):
+            assert radios[1] not in channel.hearers(other)
+            assert channel.hearers(other) == self._brute_hearers(channel, other)

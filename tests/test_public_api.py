@@ -7,6 +7,11 @@ break for downstream imports.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -80,6 +85,25 @@ def test_all_is_pinned_exactly():
 def test_every_exported_name_resolves():
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
+
+
+def test_a_run_needs_only_the_standard_library():
+    """Importing the package, the shard runtime and the bench CLI and
+    running a scenario loads no numpy.  A fresh interpreter, because test
+    plugins may load numpy into this one."""
+    script = (
+        "import sys\n"
+        "import repro, repro.shard, repro.bench.cli\n"
+        "repro.run('static-flood', duration_s=5.0)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_run_result_as_row():

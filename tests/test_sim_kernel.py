@@ -132,6 +132,13 @@ class TestRunLimits:
         sim.run(max_events=4)
         assert fired == [0, 1, 2, 3]
 
+    def test_run_until_idle_raises_when_the_cap_leaves_live_events(self):
+        sim = Simulator()
+        sim.every(1_000, lambda: None)  # recurs forever: never idle
+        with pytest.raises(SimulationError, match="pending_events=1"):
+            sim.run_until_idle(max_events=100)
+        assert sim.events_fired == 100
+
     def test_stop_during_run(self):
         sim = Simulator()
         fired = []

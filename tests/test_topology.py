@@ -85,17 +85,6 @@ class TestTopologyInvariants:
         best = min(loc.x**2 + loc.y**2 for loc in topology)
         assert gateway.x**2 + gateway.y**2 == best
 
-    @given(topologies, st.sampled_from([1.0, 22.0, 60.0]))
-    @settings(max_examples=30, deadline=None)
-    def test_positions_array_rows_follow_mote_id_order(self, topology, spacing):
-        positions = topology.positions_array(spacing_m=spacing)
-        assert positions.shape == (len(topology), 2)
-        directory = topology.directory()
-        for mote_id in range(1, len(topology) + 1):
-            assert tuple(positions[mote_id - 1]) == topology.position(
-                directory[mote_id], spacing_m=spacing
-            )
-
     def test_grid_matches_paper_shape(self):
         topology = GridTopology(5, 5)
         assert len(topology) == 25
