@@ -1,8 +1,9 @@
 """A Mate network on the same testbed substrate as the Agilla one.
 
-Same motes, same channel, same software grid filter — only the middleware
-differs, so the §5 comparison (reprogramming cost, placement control,
-multi-application support) is apples to apples.
+Same motes, same channel, same software grid filter (a
+:class:`~repro.net.filters.NeighborSetFilter` of each mote's grid-adjacent
+ids) — only the middleware differs, so the §5 comparison (reprogramming
+cost, placement control, multi-application support) is apples to apples.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from repro.baselines.mate.middleware import MateMiddleware
 from repro.location import BASE_STATION_LOCATION, Location, grid_locations
 from repro.mote.environment import Environment
 from repro.mote.mote import Mote
-from repro.net.filters import GridNeighborFilter, bridge_edge
+from repro.net.filters import NeighborSetFilter, bridge_edge
 from repro.net.stack import NetworkStack
 from repro.radio.channel import Channel
 from repro.radio.linkmodels import LinkModel, UniformLossLinks
@@ -43,12 +44,19 @@ class MateNetwork:
         self.nodes: dict[Location, MateMiddleware] = {}
 
         locations = [BASE_STATION_LOCATION] + list(grid_locations(width, height))
-        directory = {self._mote_id(loc): loc for loc in locations}
         edges = bridge_edge(BASE_STATION_LOCATION, Location(1, 1))
         for location in locations:
             mote = Mote(self.sim, self._mote_id(location), location, self.environment)
             stack = NetworkStack(mote, self.channel.attach(mote))
-            stack.install_filter(GridNeighborFilter(location, directory, edges))
+            # Grid-adjacent senders only, plus the base-station bridge.
+            stack.install_filter(
+                NeighborSetFilter(
+                    self._mote_id(other)
+                    for other in locations
+                    if other.manhattan_to(location) == 1
+                    or frozenset((other, location)) in edges
+                )
+            )
             middleware = MateMiddleware(mote, stack)
             middleware.start()
             self.nodes[location] = middleware

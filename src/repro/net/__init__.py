@@ -16,7 +16,6 @@ from repro.net.addresses import (
 )
 from repro.net.beacons import DEFAULT_EXPIRY_INTERVALS, BeaconService
 from repro.net.filters import (
-    GridNeighborFilter,
     LiveNeighborFilter,
     NeighborSetFilter,
     bridge_edge,
@@ -43,7 +42,6 @@ __all__ = [
     "grid_locations",
     "BeaconService",
     "DEFAULT_EXPIRY_INTERVALS",
-    "GridNeighborFilter",
     "LiveNeighborFilter",
     "NeighborSetFilter",
     "bridge_edge",

@@ -4,7 +4,8 @@ The paper's testbed put 25 motes on one tabletop — every mote physically
 hears every other — and synthesized the 5×5 multi-hop grid in software:
 "we modified TinyOS's network stack to filter out all messages except those
 from immediate neighbors based on the grid topology" (§4).
-:class:`GridNeighborFilter` is that modification.
+:class:`NeighborSetFilter` is that modification, given each mote's
+grid-adjacent ids (or, for any topology, its neighbor relation).
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from repro.radio.frame import Frame
 class NeighborSetFilter:
     """Drop frames whose sender id is not in a fixed neighbor set.
 
-    The topology-agnostic generalization of :class:`GridNeighborFilter`: the
-    deployment layer derives each node's accepted senders from the topology's
-    neighbor relation (plus any bridge edges) once, and the per-frame check is
-    a single set lookup.  Unknown senders are dropped.
+    The deployment layer derives each node's accepted senders from the
+    topology's neighbor relation (plus any bridge edges) once, and the
+    per-frame check is a single set lookup.  Unknown senders are dropped.
 
     A network stack without observers never calls an installed one: it
     copies :attr:`accepted` into its radio's acceptance rule, so the channel
@@ -82,49 +82,7 @@ class LiveNeighborFilter:
         )
 
 
-class GridNeighborFilter:
-    """Drop frames not sent by a grid-adjacent node.
-
-    Adjacency is Manhattan distance 1 in grid coordinates.  ``extra_edges``
-    adds explicit adjacencies for special nodes — e.g. the base station at
-    (0,0) is bridged to mote (1,1) even though they are not grid-adjacent.
-
-    The filter needs to know where a frame's sender sits; the network builder
-    provides a shared ``directory`` mapping mote id → grid location.
-    """
-
-    def __init__(
-        self,
-        own_location: Location,
-        directory: dict[int, Location],
-        extra_edges: frozenset[frozenset[Location]] = frozenset(),
-    ):
-        self.own_location = own_location
-        self.directory = directory
-        self.extra_edges = extra_edges
-
-    def neighbor_locations(self) -> list[Location]:
-        """All directory locations this node would accept frames from."""
-        accepted = []
-        for location in self.directory.values():
-            if location == self.own_location:
-                continue
-            if self._adjacent(location):
-                accepted.append(location)
-        return accepted
-
-    def _adjacent(self, sender: Location) -> bool:
-        if sender.manhattan_to(self.own_location) == 1:
-            return True
-        return frozenset((sender, self.own_location)) in self.extra_edges
-
-    def __call__(self, frame: Frame) -> bool:
-        sender = self.directory.get(frame.src)
-        if sender is None:
-            return False  # unknown senders are dropped
-        return self._adjacent(sender)
-
-
 def bridge_edge(a: Location, b: Location) -> frozenset[frozenset[Location]]:
-    """Convenience: a one-pair ``extra_edges`` set (base-station bridge)."""
+    """A one-pair edge set (the base-station bridge) that a deployment adds
+    to its neighbor relation."""
     return frozenset({frozenset((a, b))})

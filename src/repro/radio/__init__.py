@@ -8,7 +8,6 @@ from repro.radio.channel import (
     Transmission,
 )
 from repro.radio.frame import FRAME_OVERHEAD_BYTES, MAX_PAYLOAD, Frame
-from repro.radio.linkcache import LinkCache
 from repro.radio.linkmodels import (
     DEFAULT_PRR,
     MICA2_RANGE_M,
@@ -27,7 +26,6 @@ __all__ = [
     "FRAME_OVERHEAD_BYTES",
     "MAX_PAYLOAD",
     "Frame",
-    "LinkCache",
     "DEFAULT_PRR",
     "MICA2_RANGE_M",
     "DistancePrrLinks",

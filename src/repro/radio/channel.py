@@ -32,10 +32,12 @@ Carrier sense is one early-exit scan: ``busy_for`` walks the handful of
 on-air transmissions and stops at the first one audible at the sensing
 radio (nothing on the air costs one list check).  A hearer query is one
 walk: ``hearers()`` tests the link model's ``in_range`` against each radio
-in the 9 spatial-hash cells around the transmitter and sorts the audience
-by attach sequence.  Neither consumes RNG, so they cannot perturb a
-fixed-seed stream at all; the hypothesis interleaving property pins
-``busy_for`` == a naive every-transmission walk after every mutation.
+in the 9 spatial-hash cells around the transmitter, sorts the audience by
+attach sequence and records each hearer's ``prr`` (a PRR, like audibility,
+depends only on the two positions): one cached audience record per
+transmitter.  Neither consumes RNG, so they cannot perturb a fixed-seed
+stream at all; the hypothesis interleaving property pins ``busy_for`` == a
+naive every-transmission walk after every mutation.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple
 
 from repro.errors import RadioError
 from repro.mote.mote import Mote
 from repro.radio.frame import Frame
-from repro.radio.linkcache import LinkCache
 from repro.radio.linkmodels import LinkModel, Position, UniformLossLinks
 from repro.sim.kernel import Simulator
 
@@ -289,33 +291,48 @@ class Radio:
         callback(frame)
 
 
+class _Audience(NamedTuple):
+    """One transmitter's audience record: the radios its link model lets
+    hear it, in attach order (the order the fan-out draws its loss
+    decisions in), their mote ids, and ``prrs[i]``, the link model's PRR
+    from the transmitter to ``radios[i]``."""
+
+    radios: list[Radio]
+    ids: frozenset[int]
+    prrs: list[float]
+
+
 class Channel:
     """The broadcast medium shared by all attached radios.
 
     Delivery and carrier sense are O(degree), not O(N): the channel keeps a
-    cached *hearer index* — for each radio, the list of radios its link model
-    can reach — built lazily from a spatial hash over radio positions (cell
-    size = radio range) and invalidated whenever a radio attaches or the link
-    model is replaced.
+    cached *hearer index* — for each radio, an audience record of the radios
+    its link model can reach and each one's PRR — built lazily from a spatial
+    hash over radio positions (cell size = radio range) and invalidated
+    whenever a radio attaches or the link model is replaced.  Steady-state
+    delivery therefore reads each receiver's link quality off the record
+    instead of re-deriving it from geometry on every frame.
 
     Mobile deployments mutate the index *incrementally*: :meth:`move` re-keys
-    the moved radio's spatial-hash cell and drops only the cached hearer lists
-    whose in-range relation to it can have changed (the radios within one cell
-    of its old or new position — O(degree) work), and :meth:`detach` does the
-    same for a departing radio.  ``full_invalidations`` counts whole-index
-    rebuild triggers and ``index_moves`` counts incremental re-keys, so tests
-    and benchmarks can assert that a mobility tick never degenerates into a
-    full rebuild.
+    the moved radio's spatial-hash cell and drops only the cached records
+    whose in-range relation or PRRs it can have changed (the radios within
+    one cell of its old or new position — O(degree) work), and :meth:`detach`
+    does the same for a departing radio.  ``full_invalidations`` counts
+    whole-index rebuild triggers and ``index_moves`` counts incremental
+    re-keys, so tests and benchmarks can assert that a mobility tick never
+    degenerates into a full rebuild.
 
-    Per-pair PRRs are memoized in :attr:`link_cache` and invalidated on the
-    same hooks (move, detach, link-model swap), so steady-state delivery does
-    one dict lookup per receiver instead of re-deriving link quality from
-    geometry on every frame.  ``prr_overrides`` bypass the cache entirely:
-    failure injection applies to the very next delivery, warm cache or not.
+    ``prr_overrides`` are read before the record's PRR on every delivery:
+    failure injection applies to the very next delivery, cached record or
+    not.
     """
 
     #: Unused (delivery has one path); perfbench's traced run reads it.
     vector_fanout_min = VECTOR_FANOUT_MIN
+
+    #: Unused (PRRs live in the audience records); perfbench still reads
+    #: its two counters, which stay 0.
+    link_cache = SimpleNamespace(cache_hits=0, cache_misses=0)
 
     def __init__(
         self,
@@ -343,22 +360,17 @@ class Channel:
         #: radio that detaches mid-flight leaves its frame here until the
         #: frame's end event fires (the energy already left the antenna).
         self._on_air: list[Transmission] = []
-        # Hearer index: mote id -> radios in range of that transmitter, in
-        # attach order (kept as list for iteration plus id-set for
-        # membership).  Both are dropped by exactly the same
-        # attach/move/detach/model hooks.
-        self._hearers: dict[int, list[Radio]] = {}
-        self._hearer_ids: dict[int, frozenset[int]] = {}
+        #: Hearer index: transmitter mote id -> its audience record, dropped
+        #: by the attach/move/detach/model hooks.
+        self._audiences: dict[int, _Audience] = {}
         #: Spatial hash: cell -> the radios in it (cell size = radio range),
         #: the candidates a hearer query walks.
         self._cells: dict[tuple[int, int], list[Radio]] | None = None
         self._cell_size: float = 0.0
-        #: Memoized per-pair PRRs (see :mod:`repro.radio.linkcache`).
-        self.link_cache = LinkCache(self._link_model)
         #: Per (src mote id, dst mote id) PRR override for failure injection.
-        #: Consulted *before* the link cache on every delivery, so an override
-        #: installed while frames are already in flight still applies to the
-        #: next reception decision.
+        #: Consulted *before* the audience record's PRR on every delivery, so
+        #: an override installed while frames are already in flight still
+        #: applies to the next reception decision.
         self.prr_overrides: dict[tuple[int, int], float] = {}
         #: Optional observer invoked with each :class:`Transmission` the
         #: moment it goes on the air (after the overlap bookkeeping).  The
@@ -391,7 +403,6 @@ class Channel:
     @link_model.setter
     def link_model(self, model: LinkModel) -> None:
         self._link_model = model
-        self.link_cache.swap_model(model)
         self.invalidate_neighbor_index()
 
     def attach(self, mote: Mote, position: Position | None = None) -> Radio:
@@ -410,9 +421,6 @@ class Channel:
         self._radios[mote.id] = radio
         radio._attached = True
         mote.radio = radio
-        # A re-used mote id (detach then re-attach) must not inherit the
-        # departed radio's cached link quality.
-        self.link_cache.invalidate(mote.id)
         self.invalidate_neighbor_index()
         return radio
 
@@ -422,18 +430,17 @@ class Channel:
     def invalidate_neighbor_index(self) -> None:
         """Drop the cached in-range index (new radio or new link model)."""
         self.full_invalidations += 1
-        self._hearers.clear()
-        self._hearer_ids.clear()
+        self._audiences.clear()
         self._cells = None
 
     def _drop_cached(self, mote_id: int) -> None:
-        self._hearers.pop(mote_id, None)
-        self._hearer_ids.pop(mote_id, None)
+        self._audiences.pop(mote_id, None)
 
     def _drop_cached_near(self, position: Position) -> None:
-        """Drop the cached hearer lists of every radio within one cell of
-        ``position`` — the only caches a change at ``position`` can affect,
-        since audibility is bounded by the cell size (= radio range)."""
+        """Drop the cached audience records of every radio within one cell
+        of ``position`` — the only records a change at ``position`` can
+        affect, since audibility is bounded by the cell size (= radio
+        range)."""
         assert self._cells is not None
         cx, cy = self._cell_of(position)
         for dx in (-1, 0, 1):
@@ -444,10 +451,12 @@ class Channel:
     def move(self, mote_id: int, position: Position) -> None:
         """Move a radio to a new physical position, re-keying incrementally.
 
-        Only the moved radio's spatial-hash bucket and the cached hearer lists
-        around its old and new positions are touched — O(local density), never
-        a full index rebuild.  (With an unbounded link model there is no
-        spatial hash to re-key, so the whole index is invalidated instead.)
+        Only the moved radio's spatial-hash bucket and the cached audience
+        records around its old and new positions are touched — O(local
+        density), never a full index rebuild.  Every transmitter in range of
+        either position is in that ring, so no record keeps a stale hearer
+        or PRR.  (With an unbounded link model there is no spatial hash to
+        re-key, so the whole index is invalidated instead.)
         """
         radio = self._radios.get(mote_id)
         if radio is None:
@@ -455,10 +464,6 @@ class Channel:
         old = radio.position
         if old == position:
             return
-        # The mover's link quality changed toward *everyone*: drop exactly
-        # the cached PRR pairs it participates in, whatever happens to the
-        # spatial hash below.
-        self.link_cache.invalidate(mote_id)
         if self._cells is None:
             radio.position = position  # index not built yet: nothing to re-key
             return
@@ -486,15 +491,14 @@ class Channel:
         """Remove a radio from the medium (node death / departure).
 
         The radio is disabled, dropped from the spatial hash, and every cached
-        hearer list that could contain it is invalidated — incrementally, like
-        :meth:`move`.  A frame already on the air from the departing radio
+        audience record that could contain it is invalidated — incrementally,
+        like :meth:`move`.  A frame already on the air from the departing radio
         still finishes (the energy left the antenna).
         """
         radio = self._radios.pop(mote_id, None)
         if radio is None:
             raise RadioError(f"cannot detach unknown mote id {mote_id}")
         radio.enabled = False
-        self.link_cache.invalidate(mote_id)
         self.retired_bytes_sent += radio.bytes_sent
         if self._cells is not None:
             if self._cell_size <= 0.0:
@@ -555,26 +559,33 @@ class Channel:
         return buckets
 
     def hearers(self, radio: Radio) -> list[Radio]:
-        """Radios the link model lets hear ``radio``, in attach order.
+        """Radios the link model lets hear ``radio``, in attach order: the
+        cached list of its audience record (see :meth:`_audience_of`)."""
+        return self._audience_of(radio).radios
+
+    def _audience_of(self, radio: Radio) -> _Audience:
+        """``radio``'s audience record.
 
         One walk over the radios in the 9 spatial-hash cells around
         ``radio`` (all radios for an unbounded link model), testing
         ``in_range`` on each, then a sort by attach sequence: the order the
-        fan-out draws its loss decisions in.  Cached per mote id while the
-        radio is attached.  A radio that detached with a frame still on the
-        air is in no spatial-hash cell, so no later :meth:`move` or
-        :meth:`detach` would drop a list cached for it, and a re-attached
-        radio may reuse its id: its audience is recomputed on every call
+        fan-out draws its loss decisions in.  The link model's ``prr`` is
+        then evaluated once per hearer.  Cached per mote id while the radio
+        is attached.  A radio that detached with a frame still on the air
+        is in no spatial-hash cell, so no later :meth:`move` or
+        :meth:`detach` would drop a record cached for it, and a re-attached
+        radio may reuse its id: its record is recomputed on every call
         instead.
         """
         mote_id = radio.mote.id
         attached = radio._attached
         if attached:
-            cached = self._hearers.get(mote_id)
+            cached = self._audiences.get(mote_id)
             if cached is not None:
                 return cached
         self._ensure_cells()
-        in_range = self._link_model.in_range
+        model = self._link_model
+        in_range = model.in_range
         position = radio.position
         audience = [
             other
@@ -583,26 +594,22 @@ class Channel:
             if other is not radio and in_range(position, other.position)
         ]
         audience.sort(key=lambda other: other._attach_seq)
-        if not attached:
-            return audience
-        self._hearer_ids[mote_id] = frozenset(other.mote.id for other in audience)
-        self._hearers[mote_id] = audience
-        return audience
-
-    def _audible_ids(self, radio: Radio) -> frozenset[int]:
-        """The mote ids of ``hearers(radio)``, cached with the list while
-        ``radio`` is attached."""
-        audience = self.hearers(radio)
-        if not radio._attached:
-            return frozenset(r.mote.id for r in audience)
-        return self._hearer_ids[radio.mote.id]
+        prr = model.prr
+        record = _Audience(
+            audience,
+            frozenset(other.mote.id for other in audience),
+            [prr(position, other.position) for other in audience],
+        )
+        if attached:
+            self._audiences[mote_id] = record
+        return record
 
     def _can_hear(self, src: Radio, dst: Radio) -> bool:
         """Is ``src``'s carrier audible at ``dst``?  O(1) after caching."""
-        ids = self._hearer_ids.get(src.mote.id)
-        if ids is None or not src._attached:
-            ids = self._audible_ids(src)
-        return dst.mote.id in ids
+        record = self._audiences.get(src.mote.id)
+        if record is None or not src._attached:
+            record = self._audience_of(src)
+        return dst.mote.id in record.ids
 
     def radio_for(self, mote_id: int) -> Radio | None:
         return self._radios.get(mote_id)
@@ -669,16 +676,16 @@ class Channel:
     def end_transmission(self, tx: Transmission) -> None:
         """Frame finished: decide reception independently per receiver.
 
-        Only the transmitter's cached hearer list is visited — O(degree) per
-        frame — never the full radio population.  The fan-out is *batched*:
-        receiver eligibility (powered, not mid-transmission, not collided),
-        PRR resolution — overrides first, then the memoized link cache — and
-        the Bernoulli loss draws are all decided before any surviving frame
-        is handed up the stacks, which also means nothing a handler does can
-        alter this frame's own outcomes.  A receiver's acceptance rule then
-        decides whether its callback runs at all (see :meth:`Radio.deliver`).
-        The stream discipline is one ``random()`` per eligible receiver, in
-        attach order.
+        Only the transmitter's cached audience record is visited — O(degree)
+        per frame — never the full radio population.  The fan-out is
+        *batched*: receiver eligibility (powered, not mid-transmission, not
+        collided), PRR resolution — overrides first, then the record's PRR —
+        and the Bernoulli loss draws are all decided before any surviving
+        frame is handed up the stacks, which also means nothing a handler
+        does can alter this frame's own outcomes.  A receiver's acceptance
+        rule then decides whether its callback runs at all (see
+        :meth:`Radio.deliver`).  The stream discipline is one ``random()``
+        per eligible receiver, in attach order.
 
         The transmissions that overlap ``tx`` were recorded while both were
         on the air (:meth:`begin_transmission`), so the collision check scans
@@ -687,7 +694,8 @@ class Channel:
         every frame whose transmitter is more than twice the link range
         from ``tx``'s: by the triangle inequality no radio can hear both,
         and both sides are judged at the same end-of-frame positions the
-        hearer lists use, so the prune is exact under any move or detach.
+        audience records use, so the prune is exact under any move or
+        detach.
         (An unbounded link model has no range: nothing is pruned.)
         The list is then released (``tx.overlaps = None``), corrupted frame
         or not, so ended frames do not pin the run's transmission history.
@@ -700,12 +708,12 @@ class Channel:
             # RNG draws, no deliveries.
             self.corrupted_frames += 1
             return
-        hearers = self.hearers(tx.radio)
-        if not hearers:
+        audience = self._audience_of(tx.radio)
+        if not audience.radios:
             return  # nobody in range: skip the fan-out entirely
         if overlaps and self._cell_size > 0.0:
             overlaps = self._near_overlaps(tx.radio.position, overlaps)
-        self._fan_out_scalar(tx, hearers, overlaps)
+        self._fan_out_scalar(tx, audience, overlaps)
 
     def _near_overlaps(
         self, position: Position, overlaps: list[Transmission]
@@ -727,7 +735,7 @@ class Channel:
     def _fan_out_scalar(
         self,
         tx: Transmission,
-        hearers: list[Radio],
+        audience: _Audience,
         overlaps: list[Transmission] | None,
     ) -> None:
         """The per-receiver delivery loop: eligibility, loss, hand-off."""
@@ -738,11 +746,11 @@ class Channel:
         start, end = tx.start, tx.end
         if overlaps:
             overlapping = [
-                (other.radio, self._audible_ids(other.radio)) for other in overlaps
+                (other.radio, self._audience_of(other.radio).ids) for other in overlaps
             ]
-        # Pass 1: who can receive at all.
+        # Pass 1: who can receive at all, with the record's PRR.
         receivers = None
-        for radio in hearers:
+        for radio, prr in zip(audience.radios, audience.prrs):
             if not radio._enabled:
                 continue
             receiver_tx = radio._current_tx
@@ -763,26 +771,19 @@ class Channel:
                     continue
             if receivers is None:
                 receivers = []
-            receivers.append(radio)
+            receivers.append((radio, prr))
         if receivers is None:
             return
-        # Pass 2: link quality (override ▸ cache ▸ model) and loss draws.
+        # Pass 2: link quality (override ▸ record) and loss draws.
         tx_id = tx.radio.mote.id
-        tx_position = tx.radio.position
         overrides = self.prr_overrides
-        cache = self.link_cache
-        cache_row = cache.row(tx_id)
         random = self.rng.random
         delivered = None
-        for radio in receivers:
-            dst_id = radio.mote.id
-            prr = overrides.get((tx_id, dst_id)) if overrides else None
-            if prr is None:
-                prr = cache_row.get(dst_id)
-                if prr is None:
-                    prr = cache.fill(tx_id, tx_position, dst_id, radio.position)
-                else:
-                    cache.cache_hits += 1
+        for radio, prr in receivers:
+            if overrides:
+                override = overrides.get((tx_id, radio.mote.id))
+                if override is not None:
+                    prr = override
             if random() >= prr:
                 self.prr_drops += 1
                 continue

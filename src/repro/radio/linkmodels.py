@@ -16,7 +16,9 @@ dense deployments.
 ``in_range`` is the one hearer predicate: the channel's hearer query tests
 it from the transmitter against every radio in the surrounding spatial-hash
 cells, so a model with a finite ``range_m`` must answer ``False`` beyond
-it.
+it.  ``prr`` is evaluated once per hearer, when the channel builds the
+transmitter's audience record, so both must depend on the two positions
+alone: to change a model, assign a new one to ``Channel.link_model``.
 """
 
 from __future__ import annotations

@@ -9,11 +9,9 @@ from repro.net import (
     BeaconService,
     GeoMessaging,
     GeoRouter,
-    GridNeighborFilter,
     Location,
     NeighborSetFilter,
     NetworkStack,
-    bridge_edge,
     grid_locations,
 )
 from repro.net import am
@@ -134,31 +132,6 @@ class TestNetworkStack:
         # One frame goes straight to the radio, eight queue behind it.
         assert outcomes.count(False) == 12 - 9
         assert stacks[0].queue_overflows == 3
-
-
-class TestGridNeighborFilter:
-    def test_accepts_grid_neighbors_only(self):
-        directory = {i: loc for i, loc in enumerate(grid_locations(3, 3), start=1)}
-        own = Location(2, 2)  # mote 5
-        accepted = GridNeighborFilter(own, directory).neighbor_locations()
-        assert sorted((l.x, l.y) for l in accepted) == [(1, 2), (2, 1), (2, 3), (3, 2)]
-
-    def test_filter_call(self):
-        from repro.radio import Frame
-
-        directory = {1: Location(1, 1), 2: Location(2, 1), 3: Location(3, 1)}
-        filt = GridNeighborFilter(Location(1, 1), directory)
-        assert filt(Frame(2, 1, 0x42))  # adjacent
-        assert not filt(Frame(3, 1, 0x42))  # two hops away
-        assert not filt(Frame(99, 1, 0x42))  # unknown sender
-
-    def test_bridge_edge_for_base_station(self):
-        directory = {0: Location(0, 0), 1: Location(1, 1)}
-        edges = bridge_edge(Location(0, 0), Location(1, 1))
-        filt = GridNeighborFilter(Location(1, 1), directory, edges)
-        from repro.radio import Frame
-
-        assert filt(Frame(0, 1, 0x42))
 
 
 class TestAcquaintanceList:
@@ -321,16 +294,15 @@ class TestGeoRouting:
         channel = Channel(sim, PerfectLinks())
         motes = [Mote(sim, i, Location(i, 1), Environment()) for i in range(1, width + 1)]
         stacks = [NetworkStack(m, channel.attach(m)) for m in motes]
-        directory = {m.id: m.location for m in motes}
         services = []
         for mote, stack in zip(motes, stacks):
-            stack.install_filter(GridNeighborFilter(mote.location, directory))
-            beacon = BeaconService(mote, stack)
             neighbors = [
                 (other.id, other.location)
                 for other in motes
                 if other.location.manhattan_to(mote.location) == 1
             ]
+            stack.install_filter(NeighborSetFilter(mote_id for mote_id, _ in neighbors))
+            beacon = BeaconService(mote, stack)
             beacon.prime(neighbors)
             router = GeoRouter(mote.location, beacon.acquaintances)
             geo = GeoMessaging(mote, stack, router)

@@ -2,6 +2,7 @@
 
 import string
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -321,7 +322,7 @@ class TestAdaptiveConvergenceProperty:
 # Delivery path: cached/batched fan-out == the naive per-frame reference
 # ----------------------------------------------------------------------
 from repro.mote import Environment, Mote  # noqa: E402
-from repro.radio import Channel, Frame, UniformLossLinks  # noqa: E402
+from repro.radio import Channel, DistancePrrLinks, Frame, UniformLossLinks  # noqa: E402
 from repro.sim.units import ms  # noqa: E402
 
 
@@ -441,6 +442,30 @@ deploy_rules = st.lists(acceptance_rules, min_size=_N_RADIOS, max_size=_N_RADIOS
 #: Every radio promiscuous: the channel as it hands frames to raw radios.
 _PROMISCUOUS_RULES = [(0, 0)] * _N_RADIOS
 
+#: One PRR for every in-range pair, and a PRR that falls with distance: only
+#: the second lets a PRR served stale after a move diverge from the reference.
+_LINK_MODELS = pytest.mark.parametrize(
+    "links",
+    (
+        UniformLossLinks(prr=0.8, range_m=3.5),
+        DistancePrrLinks(connected_m=1.0, range_m=3.5, prr_connected=0.9),
+    ),
+    ids=("uniform", "distance"),
+)
+
+#: Radio 1 moves from 1 m to 3 m from radio 0 between two of radio 0's
+#: broadcasts, then out of its range: under the distance model the frames
+#: after the first move must be drawn at the new, lower PRR, and under
+#: either model the last ones must not reach radio 1 at all.
+_RECEDING_HEARER = [
+    ("send", 0, 0, _BROADCAST),
+    ("run", 60),
+    ("move", 1, 3, 0),
+    *(op for k in range(1, 9) for op in (("send", 0, k, _BROADCAST), ("run", 60))),
+    ("move", 1, 8, 0),
+    *(op for k in range(9, 13) for op in (("send", 0, k, _BROADCAST), ("run", 60))),
+]
+
 
 def _set_rule(radio, rule):
     kind, mask = rule
@@ -451,9 +476,11 @@ def _set_rule(radio, rule):
 class TestDeliveryEquivalenceProperty:
     """PR 5's acceptance property, mirroring PR 2's incremental-index proof:
     under *any* interleaving of sends, moves, detaches, and PRR-override
-    churn, the memoized-cache + batched-fan-out delivery path produces the
+    churn, the cached-audience + batched-fan-out delivery path produces the
     same frames at the same receivers — frame for frame, drop for drop —
     as a naive reference that rederives every link decision per frame.
+    Both properties run under a uniform and a distance-dependent link
+    model, so a stale cached PRR diverges as surely as a stale audience.
 
     The hand-off is part of it: frames go to motes by id or broadcast, every
     radio starts with a drawn acceptance rule that ``rule`` ops change
@@ -462,11 +489,9 @@ class TestDeliveryEquivalenceProperty:
     and tally the same sender refusals.  Each radio's reception count is
     compared too, so a reception the rule withholds still counts."""
 
-    def _deploy(self, channel_cls, seed, rules):
+    def _deploy(self, channel_cls, seed, rules, links):
         sim = Simulator(seed=seed)
-        channel = channel_cls(
-            sim, UniformLossLinks(prr=0.8, range_m=3.5), grid_spacing_m=1.0
-        )
+        channel = channel_cls(sim, links, grid_spacing_m=1.0)
         log: list[tuple[int, int, int, bytes]] = []
         radios = []
         for index in range(_N_RADIOS):
@@ -505,8 +530,8 @@ class TestDeliveryEquivalenceProperty:
             if index not in detached:
                 assert channel.busy_for(radio) == self._naive_busy(channel, radio)
 
-    def _drive(self, channel_cls, operations, seed, rules, sense_check=False):
-        sim, channel, radios, log = self._deploy(channel_cls, seed, rules)
+    def _drive(self, channel_cls, operations, seed, rules, links, sense_check=False):
+        sim, channel, radios, log = self._deploy(channel_cls, seed, rules, links)
         detached: set[int] = set()
         for op in operations:
             kind, *args = op
@@ -561,6 +586,7 @@ class TestDeliveryEquivalenceProperty:
             channel.mac_giveups,
         )
 
+    @_LINK_MODELS
     @given(delivery_ops, st.integers(0, 7), deploy_rules)
     # A rule change between two frames from the same transmitter: the
     # second frame's hand-off must not reuse the first one's decisions.
@@ -575,12 +601,16 @@ class TestDeliveryEquivalenceProperty:
         0,
         [(2, 2**_N_RADIOS - 1)] * _N_RADIOS,
     )
+    @example(_RECEDING_HEARER, 0, _PROMISCUOUS_RULES)
     @settings(max_examples=90, deadline=None, derandomize=True)
-    def test_cached_batched_delivery_matches_naive_reference(self, operations, seed, rules):
-        optimized = self._drive(Channel, operations, seed, rules)
-        reference = self._drive(_NaiveChannel, operations, seed, rules)
+    def test_cached_batched_delivery_matches_naive_reference(
+        self, links, operations, seed, rules
+    ):
+        optimized = self._drive(Channel, operations, seed, rules, links)
+        reference = self._drive(_NaiveChannel, operations, seed, rules, links)
         assert optimized == reference
 
+    @_LINK_MODELS
     @given(delivery_ops, st.integers(0, 7), deploy_rules)
     # A radio detaches with its frame on the air, carrier sense caches that
     # frame's audience, and a hearer then moves out of range: the audience
@@ -596,14 +626,17 @@ class TestDeliveryEquivalenceProperty:
         0,
         _PROMISCUOUS_RULES,
     )
+    @example(_RECEDING_HEARER, 0, _PROMISCUOUS_RULES)
     @settings(max_examples=90, deadline=None, derandomize=True)
-    def test_carrier_sense_paths_match_naive_reference(self, operations, seed, rules):
+    def test_carrier_sense_paths_match_naive_reference(
+        self, links, operations, seed, rules
+    ):
         """After *every* operation, ``busy_for``'s early-exit on-air scan
         must agree with a naive walk over the airborne transmissions — and
         the interrogation must not disturb the delivery equivalence, since
         carrier sense never consumes RNG."""
-        checked = self._drive(Channel, operations, seed, rules, sense_check=True)
-        reference = self._drive(_NaiveChannel, operations, seed, rules)
+        checked = self._drive(Channel, operations, seed, rules, links, sense_check=True)
+        reference = self._drive(_NaiveChannel, operations, seed, rules, links)
         assert checked == reference
 
 

@@ -206,7 +206,7 @@ class TestChannel:
         assert channel.sense_idle == 6
         assert channel.sense_scalar == 0
         assert channel.sense_vector == 0
-        assert channel._hearers == {} and channel._hearer_ids == {}
+        assert channel._audiences == {}
 
     def test_pending_carrier_sense_clears_as_it_fires(self):
         # The shard lookahead reads a non-None handle as a carrier sense
@@ -355,7 +355,7 @@ class TestChannel:
             channel.begin_transmission(tx)
         channel.end_transmission(frames[0])
         assert got == [] and channel.collisions == 1
-        assert b.mote.id in channel._hearers and d.mote.id not in channel._hearers
+        assert b.mote.id in channel._audiences and d.mote.id not in channel._audiences
 
     def test_channel_stream_matches_legacy_stdlib_stream(self):
         """The channel draws from ``random.Random(f"{seed}/channel")``, the
@@ -390,49 +390,109 @@ class TestChannel:
         assert radio_a.bytes_sent > 0
 
 
-class TestLinkCache:
-    """The memoized per-pair PRR cache behind the delivery hot path."""
+class CountingLinks(DistancePrrLinks):
+    """A distance model that counts its ``prr`` evaluations."""
 
-    def _pair(self, link_model=None, seed=0):
-        sim = Simulator(seed=seed)
-        channel = Channel(sim, link_model or PerfectLinks(), grid_spacing_m=1.0)
-        a = make_mote(sim, 1, 1, 1)
-        b = make_mote(sim, 2, 2, 1)
-        return sim, channel, channel.attach(a), channel.attach(b)
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.prr_calls = 0
 
-    def test_repeat_deliveries_hit_the_cache(self):
+    def prr(self, src, dst):
+        self.prr_calls += 1
+        return super().prr(src, dst)
+
+
+class TestAudienceRecord:
+    """Each transmitter's cached audience record carries its hearers' PRRs.
+
+    Under ``DistancePrrLinks(connected_m=1, range_m=2, prr_connected=1.0)``
+    a hearer 1 m away receives every frame and one exactly 2 m away is in
+    range at PRR 0.0, so after a change that puts it at 2 m the next frame
+    must be a ``prr_drop``: a stale PRR of 1.0 would deliver it."""
+
+    def _pair(self, link_model=None):
+        """Radio 1 at the origin, radio 2 one meter away."""
+        sim = Simulator(seed=0)
+        if link_model is None:
+            link_model = CountingLinks(connected_m=1.0, range_m=2.0, prr_connected=1.0)
+        channel = Channel(sim, link_model, grid_spacing_m=1.0)
+        radio_a = channel.attach(make_mote(sim, 1, 0, 0), (0.0, 0.0))
+        radio_b = channel.attach(make_mote(sim, 2, 1, 0), (1.0, 0.0))
+        radio_b.set_receive_callback(lambda f: None)
+        return sim, channel, radio_a, radio_b
+
+    @staticmethod
+    def _send(sim, radio, count=1):
+        for _ in range(count):
+            radio.send(Frame(radio.mote.id, BROADCAST_ID, 0x10, b"x"))
+            sim.run_until_idle()
+
+    def test_repeat_deliveries_build_the_record_once(self):
         sim, channel, radio_a, radio_b = self._pair()
-        radio_b.set_receive_callback(lambda f: None)
-        for _ in range(5):
-            radio_a.send(Frame(1, 2, 0x10, b"x"))
-            sim.run_until_idle()
-        cache = channel.link_cache
-        assert cache.cache_misses == 1  # first delivery computed the PRR
-        assert cache.cache_hits == 4  # the rest reused it
-        assert len(cache) == 1
+        self._send(sim, radio_a, 5)
         assert radio_b.frames_received == 5
+        assert channel.link_model.prr_calls == 1
+        assert channel._audiences[1] == ([radio_b], frozenset({2}), [1.0])
 
-    def test_cached_prr_matches_the_model(self):
-        sim, channel, radio_a, radio_b = self._pair(UniformLossLinks(prr=0.7))
-        radio_b.set_receive_callback(lambda f: None)
-        for _ in range(3):
-            radio_a.send(Frame(1, 2, 0x10, b"x"))
-            sim.run_until_idle()
-        assert channel.link_cache.row(1)[2] == 0.7
+    def test_record_prrs_follow_the_model_in_attach_order(self):
+        sim, channel, radio_a, radio_b = self._pair()
+        # Attached last, yet nearer than radio 2: the record keeps attach
+        # order, each PRR beside its hearer.
+        radio_c = channel.attach(make_mote(sim, 3, 0, 0), (0.5, 0.0))
+        radio_far = channel.attach(make_mote(sim, 4, 0, 0), (1.5, 0.0))
+        record = channel._audience_of(radio_a)
+        assert record.radios == [radio_b, radio_c, radio_far]
+        assert record.ids == frozenset({2, 3, 4})
+        assert record.prrs == [1.0, 1.0, 0.5]
+        assert channel.hearers(radio_a) is record.radios
+
+    @pytest.mark.parametrize("mover", (1, 2))
+    def test_move_to_the_range_edge_drops_the_next_frame(self, mover):
+        # Either end moving to 2 m apart must drop radio 1's record.
+        sim, channel, radio_a, radio_b = self._pair()
+        self._send(sim, radio_a)
+        assert radio_b.frames_received == 1
+        calls = channel.link_model.prr_calls
+        channel.move(mover, (-1.0, 0.0) if mover == 1 else (2.0, 0.0))
+        self._send(sim, radio_a)
+        assert radio_b.frames_received == 1
+        assert channel.prr_drops == 1
+        assert channel._audiences[1].prrs == [0.0]
+        assert channel.link_model.prr_calls == calls + 1  # rebuilt once
+
+    def test_reattached_id_gets_a_fresh_prr(self):
+        sim, channel, radio_a, radio_b = self._pair()
+        self._send(sim, radio_a)
+        assert radio_b.frames_received == 1
+        channel.detach(2)
+        newcomer = channel.attach(make_mote(sim, 2, 2, 0), (2.0, 0.0))
+        newcomer.set_receive_callback(lambda f: None)
+        self._send(sim, radio_a)
+        assert newcomer.frames_received == 0
+        assert channel.prr_drops == 1
+        assert channel._audiences[1] == ([newcomer], frozenset({2}), [0.0])
+
+    def test_model_swap_rebuilds_prrs(self):
+        sim, channel, radio_a, radio_b = self._pair(PerfectLinks(range_m=2.0))
+        self._send(sim, radio_a)
+        assert radio_b.frames_received == 1
+        channel.link_model = UniformLossLinks(prr=0.0, range_m=2.0)
+        self._send(sim, radio_a)
+        assert radio_b.frames_received == 1
+        assert channel.prr_drops == 1
+        assert channel._audiences[1].prrs == [0.0]
 
     def test_override_installed_mid_flight_applies_to_next_delivery(self):
         """Regression: ``prr_overrides`` set *after* a frame is already on
-        the air must still decide that frame's reception — the override path
-        bypasses the warm LinkCache entirely and bumps ``prr_drops``."""
-        sim, channel, radio_a, radio_b = self._pair()
+        the air must still decide that frame's reception — the override is
+        read before the cached record's PRR and bumps ``prr_drops``."""
+        sim, channel, radio_a, radio_b = self._pair(PerfectLinks())
         got = []
         radio_b.set_receive_callback(got.append)
-        # Warm the cache with a successful delivery at PRR 1.0.
+        # Build radio 1's record with a successful delivery at PRR 1.0.
         radio_a.send(Frame(1, 2, 0x10, b"warm"))
         sim.run_until_idle()
         assert got and channel.prr_drops == 0
-        hits_before = channel.link_cache.cache_hits
-        misses_before = channel.link_cache.cache_misses
         # Put the next frame on the air, then break the link mid-flight.
         radio_a.send(Frame(1, 2, 0x10, b"doomed"))
         sim.run(duration=ms(1))  # backoff + TX begin; end-of-frame is ahead
@@ -440,50 +500,96 @@ class TestLinkCache:
         sim.run_until_idle()
         assert len(got) == 1  # the in-flight frame was dropped
         assert channel.prr_drops == 1
-        # The decision came from the override, not the cache.
-        assert channel.link_cache.cache_hits == hits_before
-        assert channel.link_cache.cache_misses == misses_before
-        # Clearing the override re-exposes the cached PRR (1.0): delivery.
+        # Clearing the override re-exposes the record's PRR (1.0): delivery.
         del channel.prr_overrides[(1, 2)]
         radio_a.send(Frame(1, 2, 0x10, b"again"))
         sim.run_until_idle()
         assert len(got) == 2
-        assert channel.link_cache.cache_hits == hits_before + 1
 
-    def test_move_invalidates_only_the_movers_pairs(self):
-        sim = Simulator()
-        channel = Channel(sim, PerfectLinks(range_m=10.0), grid_spacing_m=1.0)
-        radios = [channel.attach(make_mote(sim, i, i, 1)) for i in range(1, 4)]
+
+class TestHearerIndex:
+    """Each radio's position and attach sequence live on the radio itself,
+    written only by the channel's attach/move/detach hooks, and every
+    hearer list matches a brute-force ``in_range`` walk in attach order."""
+
+    def _deploy(self, count=3, order=None):
+        sim = Simulator(seed=0)
+        channel = Channel(sim, PerfectLinks(range_m=2.0), grid_spacing_m=1.0)
+        ids = order or list(range(1, count + 1))
+        radios = [channel.attach(make_mote(sim, i, i - 1, 0)) for i in ids]
+        return sim, channel, radios
+
+    @staticmethod
+    def _brute_hearers(channel, radio):
+        audience = [
+            other
+            for other in channel.radios
+            if other is not radio
+            and channel._link_model.in_range(radio.position, other.position)
+        ]
+        return sorted(audience, key=lambda other: other._attach_seq)
+
+    def test_attach_and_move_set_positions(self):
+        sim, channel, radios = self._deploy()
+        assert [r.position for r in radios] == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        # Build the index first, so the move below re-keys it incrementally.
+        assert channel.hearers(radios[0]) == [radios[1], radios[2]]
+        channel.move(2, (9.0, 4.0))
+        assert radios[1].position == (9.0, 4.0)
+        assert channel.radio_for(2) is radios[1]
         for radio in radios:
-            radio.set_receive_callback(lambda f: None)
-        radios[0].send(Frame(1, BROADCAST_ID, 0x10, b"b"))
-        radios[1].send(Frame(2, BROADCAST_ID, 0x10, b"b"))
-        sim.run_until_idle()
-        cache = channel.link_cache
-        assert len(cache) == 4  # 1->{2,3}, 2->{1,3}
-        invalidations_before = cache.cache_invalidations
-        channel.move(3, (5.0, 5.0))
-        assert cache.cache_invalidations == invalidations_before + 1
-        # Pairs involving mote 3 are gone; the 1<->2 pairs survived.
-        assert set(cache.row(1)) == {2}
-        assert set(cache.row(2)) == {1}
-        # Re-delivery after the move recomputes at the new geometry.
-        misses_before = cache.cache_misses
-        radios[0].send(Frame(1, BROADCAST_ID, 0x10, b"b"))
-        sim.run_until_idle()
-        assert cache.cache_misses == misses_before + 1  # 1->3 refilled
+            assert channel.hearers(radio) == self._brute_hearers(channel, radio)
+        assert channel.hearers(radios[0]) == [radios[2]]
+        assert channel.hearers(radios[1]) == []
 
-    def test_detach_and_model_swap_invalidate(self):
-        sim, channel, radio_a, radio_b = self._pair()
-        radio_b.set_receive_callback(lambda f: None)
-        radio_a.send(Frame(1, 2, 0x10, b"x"))
-        sim.run_until_idle()
-        assert len(channel.link_cache) == 1
+    def test_detach_frees_the_id(self):
+        sim, channel, radios = self._deploy()
+        for radio in radios:
+            channel.hearers(radio)  # cache every list before the detach
+        departed = channel.detach(3)
+        assert departed is radios[2]
+        assert not departed._attached
+        assert not departed.enabled
+        assert channel.radio_for(3) is None
+        assert departed not in channel.radios
+        for radio in radios[:2]:
+            assert departed not in channel.hearers(radio)
+            assert channel.hearers(radio) == self._brute_hearers(channel, radio)
+        # The id is free again.
+        assert channel.attach(make_mote(sim, 3, 2, 0)).mote.id == 3
+
+    def test_attach_seq_follows_attach_order(self):
+        # Attached out of id order: hearer lists follow attach order, not ids.
+        sim, channel, radios = self._deploy(order=[3, 1, 2])
+        seqs = [r._attach_seq for r in radios]
+        assert seqs == sorted(seqs)
+        assert len(set(seqs)) == len(seqs)
+        by_id = {r.mote.id: r for r in radios}
+        assert channel.hearers(by_id[2]) == [by_id[3], by_id[1]]
+        for radio in radios:
+            audience = channel.hearers(radio)
+            assert [r._attach_seq for r in audience] == sorted(
+                r._attach_seq for r in audience
+            )
+
+    def test_reattached_id_gets_fresh_state(self):
+        sim, channel, radios = self._deploy()
+        for radio in radios:
+            channel.hearers(radio)
         channel.detach(2)
-        assert len(channel.link_cache) == 0
-        version_before = channel.link_cache.version
-        channel.link_model = PerfectLinks(range_m=5.0)
-        assert channel.link_cache.version == version_before + 1
+        radio = channel.attach(make_mote(sim, 2, 7, 7), position=(1.0, 1.0))
+        assert radio is not radios[1]
+        assert channel.radio_for(2) is radio
+        assert radio.position == (1.0, 1.0)
+        assert radio._attached and not radios[1]._attached
+        assert radio._attach_seq > max(r._attach_seq for r in radios)
+        # The newcomer hears, and is heard, as the last-attached radio; the
+        # departed radio under the same id is in no list.
+        assert channel.hearers(radios[0]) == [radios[2], radio]
+        assert channel.hearers(radio) == [radios[0], radios[2]]
+        for other in (radios[0], radios[2], radio):
+            assert radios[1] not in channel.hearers(other)
+            assert channel.hearers(other) == self._brute_hearers(channel, other)
 
 
 @pytest.mark.parametrize("seed", (1, 10_000))
