@@ -201,10 +201,6 @@ class IncomingAgent:
         self.messages: dict[int, MigrationMessage] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def commit_seq(self) -> int:
-        return self.total_messages - 1
-
     def seen(self, seq: int) -> bool:
         return seq in self._received
 

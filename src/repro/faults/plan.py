@@ -612,22 +612,6 @@ class FaultPlan:
                         kept.append(replace(event, nodes=nodes))
         return FaultPlan(events=tuple(kept))
 
-    # ------------------------------------------------------------------
-    def last_fault_end_s(self) -> float:
-        """When the campaign's last scheduled disturbance ends (for recovery
-        measurement): the max over event windows/reboots, 0.0 when empty."""
-        end = 0.0
-        for event in self.events:
-            until = event.at_s
-            duration = getattr(event, "duration_s", None)
-            if duration is not None:
-                until += duration
-            reboot = getattr(event, "reboot_s", None)
-            if reboot is not None:
-                until += reboot + getattr(event, "stagger_s", 0.0)
-            end = max(end, until)
-        return end
-
     def to_spec(self) -> dict:
         """The plain-dict round trip (JSON-serializable)."""
         events = []

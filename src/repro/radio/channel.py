@@ -266,11 +266,6 @@ class Radio:
             on_done(sent)
 
     # ------------------------------------------------------------------
-    def transmitting_during(self, start: int, end: int) -> bool:
-        """Half-duplex check: was this radio transmitting in [start, end)?"""
-        tx = self._current_tx
-        return tx is not None and tx.start < end and tx.end > start
-
     def deliver(self, frame: Frame) -> None:
         """Count one successful reception and hand it up if the rule takes it.
 

@@ -162,10 +162,9 @@ class TrackerPerimeterWorkload(Workload):
         )
 
     def install(self, net, topology):
+        program = sampler(period_ticks=self.sampler_period_ticks, spread=False)
         for node in net.grid_nodes():
-            node.middleware.inject(
-                sampler(period_ticks=self.sampler_period_ticks, spread=False)
-            )
+            node.middleware.inject(program)
         net.inject(chaser(rest_ticks=self.rest_ticks), at=topology.gateway())
 
     def metrics(self, net):
@@ -190,8 +189,11 @@ class HabitatWorkload(Workload):
         self.period_ticks = period_ticks
 
     def install(self, net, topology):
+        # Every mote runs the same agent: assemble it once.  ``inject`` reads
+        # only the program's code and name, so the motes can share it.
+        program = habitat_monitor(period_ticks=self.period_ticks)
         for node in net.grid_nodes():
-            node.middleware.inject(habitat_monitor(period_ticks=self.period_ticks))
+            node.middleware.inject(program)
 
     def metrics(self, net):
         census = agent_census(net)
@@ -329,8 +331,9 @@ class MixedTenantWorkload(Workload):
 
     def install(self, net, topology):
         self._monitors_installed = 0
+        program = habitat_monitor(period_ticks=self.habitat_period_ticks)
         for node in net.grid_nodes():
-            node.middleware.inject(habitat_monitor(period_ticks=self.habitat_period_ticks))
+            node.middleware.inject(program)
             self._monitors_installed += 1
         hub = hub_of(topology)
         net.inject(

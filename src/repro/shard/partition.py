@@ -84,12 +84,6 @@ class Partition:
         """Total ghost motes hosted by region ``index``."""
         return sum(len(v) for v in self.ghosts.get(index, {}).values())
 
-    def region_of(self, mote_id: int) -> int:
-        for region in self.regions:
-            if mote_id in region.mote_ids:
-                return region.index
-        raise KeyError(mote_id)
-
 
 class RegionTopology(Topology):
     """A region of a base topology, preserving global mote ids.
@@ -108,6 +102,8 @@ class RegionTopology(Topology):
         super().__init__()
         self.base = base
         self.region = region
+        # Clipping a valid relation to a subset of its nodes keeps it valid.
+        self._validated = base._validated
 
     def __len__(self) -> int:
         return len(self.region.locations)

@@ -191,14 +191,24 @@ def _process_main(scenario, partition, index, conn, incarnation, replay, suppres
     try:
         neighbors = _neighbor_sets(partition)[index]
         hub = _WorkerHub(conn, neighbors, replay=replay, suppress=suppress)
-        worker = ShardWorker(
-            scenario,
-            partition,
-            index,
-            {j: hub.link(j) for j in neighbors},
-            incarnation=incarnation,
-            process_chaos=True,
-        )
+        # Build with the collector paused, then freeze what was built: this
+        # process ends when its run does, so nothing the build made ever
+        # needs collecting, and no pass during the run walks that graph.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            worker = ShardWorker(
+                scenario,
+                partition,
+                index,
+                {j: hub.link(j) for j in neighbors},
+                incarnation=incarnation,
+                process_chaos=True,
+            )
+            gc.freeze()
+        finally:
+            if enabled:
+                gc.enable()
         hub.heartbeat(0)  # built: resets the parent's liveness deadline
         worker.run(on_round=hub.heartbeat)
         conn.send(("ok", worker.stats()))

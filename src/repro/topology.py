@@ -87,6 +87,9 @@ class Topology:
         self._directory: dict[int, Location] | None = None
         self._ids: dict[Location, int] | None = None
         self._neighbor_map: dict[Location, frozenset[Location]] | None = None
+        #: Set by the first :meth:`validate` that passes; a topology never
+        #: changes after construction, so later calls need not walk it again.
+        self._validated = False
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -165,7 +168,11 @@ class Topology:
         """Check invariants: unique ids/locations, symmetric in-set neighbors.
 
         Returns self so construction can chain: ``GridTopology(3, 3).validate()``.
+        Only the first passing call walks the relation; a failing one raises
+        again on every call.
         """
+        if self._validated:
+            return self
         directory = self.directory()
         present = set(directory.values())
         for location in self.locations():
@@ -180,6 +187,7 @@ class Topology:
                     )
                 if neighbor == location:
                     raise TopologyError(f"{self.name}: self-loop at {location}")
+        self._validated = True
         return self
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro
+from repro.apps import habitat_monitor
 from repro.bench import scenarios as bench_scenarios
 from repro.bench.cli import main as bench_main
 from repro.errors import NetworkError
@@ -197,6 +198,51 @@ class TestWorkloads:
         ).as_row()
         assert result["fails"] > 0
         assert result["coverage"] > 0
+
+
+GRID_5X5 = {"kind": "grid", "width": 5, "height": 5}
+
+
+class TestInstallAssemblesOnce:
+    """An install assembles each program once, not once per mote: ``inject``
+    reads only a program's code and name, so the motes share it."""
+
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        import repro.apps.fire as fire_app
+        import repro.apps.habitat as habitat_app
+        import repro.apps.tracker as tracker_app
+        from repro.agilla.assembler import assemble
+
+        names = []
+
+        def counting(source, name="agent"):
+            names.append(name)
+            return assemble(source, name=name)
+
+        for module in (fire_app, habitat_app, tracker_app):
+            monkeypatch.setattr(module, "assemble", counting)
+        return names
+
+    @pytest.mark.parametrize(
+        "kind, programs",
+        [("habitat", ["hab"]), ("tracker", ["smp", "chs"]), ("mixed", ["hab", "fdt"])],
+    )
+    def test_each_program_is_assembled_once(self, assembled, kind, programs):
+        run = Scenario.from_spec(mini(kind, {"kind": kind}, topology=GRID_5X5)).build()
+        assert assembled == programs
+        assert len(run.net.topology) == 25
+
+    def test_every_monitor_runs_the_habitat_program(self):
+        run = Scenario.from_spec(mini("h", {"kind": "habitat"}, topology=GRID_5X5)).build()
+        expected = habitat_monitor().code
+        codes = [
+            node.middleware.instruction_manager.code_of(agent.id)
+            for node in run.net.grid_nodes()
+            for agent in node.middleware.agents()
+        ]
+        assert len(codes) == 25
+        assert all(code == expected for code in codes)
 
 
 class TestScenarioBench:

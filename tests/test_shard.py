@@ -139,15 +139,68 @@ def test_forked_run_keeps_the_shared_heap_out_of_collections(monkeypatch):
     """Workers fork with the heap frozen, and it thaws when the run ends: a
     collection that walked the pages a worker shares with the supervisor
     would copy them all, stalling either side past a 0.3 s hang deadline
-    when the caller's heap is large (a full test session's is)."""
+    when the caller's heap is large (a full test session's is).  Each worker
+    then builds with the collector paused and freezes what it built, so its
+    frozen set outgrows the heap it inherited, and it runs collecting as
+    usual."""
     import gc
 
-    stats = ShardWorker.stats
+    from repro.shard.runner import _Supervisor
+
+    frozen_at_fork = {}
+    spawn = _Supervisor._spawn
+
+    def recording_spawn(supervisor, index, *args):
+        handle = spawn(supervisor, index, *args)
+        frozen_at_fork[index] = gc.get_freeze_count()
+        return handle
+
+    run, stats = ShardWorker.run, ShardWorker.stats
+
+    def recording_run(worker, *args, **kwargs):
+        worker.collecting = gc.isenabled()
+        return run(worker, *args, **kwargs)
+
+    monkeypatch.setattr(_Supervisor, "_spawn", recording_spawn)
+    monkeypatch.setattr(ShardWorker, "run", recording_run)
     monkeypatch.setattr(
-        ShardWorker, "stats", lambda worker: dict(stats(worker), frozen=gc.get_freeze_count())
+        ShardWorker,
+        "stats",
+        lambda worker: dict(
+            stats(worker), collecting=worker.collecting, frozen=gc.get_freeze_count()
+        ),
     )
     result = ShardedRunner(Scenario.from_spec(SEAM_SPEC)).run()
-    assert all(shard["frozen"] > 0 for shard in result.per_shard)
+    for shard in result.per_shard:
+        assert shard["collecting"] is True
+        assert shard["frozen"] > frozen_at_fork[shard["shard"]] > 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_forked_worker_reports_a_failed_build(monkeypatch):
+    import gc
+    import multiprocessing
+
+    from repro.shard.runner import _process_main
+
+    def failing_build(worker, *args, **kwargs):
+        raise RuntimeError("region build failed")
+
+    monkeypatch.setattr(ShardWorker, "__init__", failing_build)
+    runner = ShardedRunner(Scenario.from_spec(SEAM_SPEC))
+    with pytest.raises(NetworkError, match="region build failed"):
+        runner.run()
+    assert gc.get_freeze_count() == 0
+    # The same entry point run in this process: the error reaches the pipe,
+    # and the collector is back on, as it was found.
+    parent, child = multiprocessing.Pipe()
+    try:
+        _process_main(runner.scenario, runner.partition, 0, child, 0, None, None)
+        kind, report = parent.recv()
+    finally:
+        parent.close()
+    assert kind == "error" and "region build failed" in report
+    assert gc.isenabled()
     assert gc.get_freeze_count() == 0
 
 

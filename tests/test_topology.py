@@ -119,6 +119,68 @@ class TestTopologyInvariants:
         )
 
 
+def _count_neighbor_walks(topology) -> list:
+    """Record every ``neighbors`` call the topology answers from now on."""
+    calls = []
+    neighbors = topology.neighbors
+
+    def counting(location):
+        calls.append(location)
+        return neighbors(location)
+
+    topology.neighbors = counting
+    return calls
+
+
+class _OneWayTopology(ExplicitTopology):
+    """(1,1) lists (2,1) as a neighbor, but not the other way round."""
+
+    def build_neighbors(self, locations):
+        a, b = locations
+        return {a: frozenset({b}), b: frozenset()}
+
+
+class TestValidateOnce:
+    """A topology never changes after construction, so only its first
+    passing ``validate`` walks the neighbor relation."""
+
+    def test_second_validate_does_not_walk_the_relation(self):
+        topology = GridTopology(4, 3)
+        walks = _count_neighbor_walks(topology)
+        assert topology.validate() is topology
+        first = len(walks)
+        assert first > 0
+        assert topology.validate() is topology
+        assert len(walks) == first
+
+    def test_invalid_topology_raises_on_every_call(self):
+        spec = {"kind": "explicit", "nodes": [[1, 1], [2, 1]], "edges": [[[1, 1], [9, 9]]]}
+        with pytest.raises(TopologyError, match="unknown node"):
+            from_spec(spec)
+        dangling = ExplicitTopology([(1, 1), (2, 1)], edges=[((1, 1), (9, 9))])
+        one_way = _OneWayTopology([(1, 1), (2, 1)])
+        for topology, match in ((dangling, "unknown node"), (one_way, "asymmetric")):
+            for _ in range(2):
+                with pytest.raises(TopologyError, match=match):
+                    topology.validate()
+
+    def test_region_is_validated_exactly_when_its_base_is(self):
+        # Clipping a valid relation to a subset of its nodes keeps it valid.
+        from repro.shard import partition_topology
+        from repro.shard.partition import RegionTopology
+
+        base = GridTopology(6, 2)
+        region = partition_topology(base, 2, spacing_m=60.0).regions[0]
+        unvalidated = RegionTopology(base, region)
+        walks = _count_neighbor_walks(unvalidated)
+        unvalidated.validate()
+        assert walks
+        inherited = RegionTopology(base.validate(), region)
+        walks = _count_neighbor_walks(inherited)
+        assert inherited.validate() is inherited
+        assert not walks
+
+
 class TestFromSpec:
     def test_grid_spec(self):
         topology = from_spec({"kind": "grid", "width": 3, "height": 2})
@@ -353,8 +415,8 @@ class TestChannelNeighborIndex:
 
     def test_receivers_own_finished_transmission_still_collides(self):
         # Half-duplex history: B transmitted during the first half of A's
-        # frame and finished before it ended (so transmitting_during sees
-        # nothing) — the frame must still be corrupted, exactly as when the
+        # frame and finished before it ended (so B is idle when A's frame
+        # ends) — the frame must still be corrupted, exactly as when the
         # channel compared every transmission against every radio.
         from repro.radio.channel import Transmission
 
