@@ -4,14 +4,13 @@ Usage::
 
     python -m repro.bench fig9 --runs 100
     python -m repro.bench all --runs 50 --out results/
-    python -m repro.bench scale --nodes 25,400,1000
-    python -m repro.bench kernel --out results/
     python -m repro.bench shard --nodes 2500,10000 --workers 1,2,4
     python -m repro.bench faults --seed 0 --out results/
     python -m repro.bench profile mobile-flood-400 --top 25
-    python -m repro.bench compare results/BENCH_scale.json new/BENCH_scale.json
-    python -m repro.bench trend week1/BENCH_scale.json week2/... week3/...
     agilla-bench fig12
+
+Timing the simulator is perfbench's job (``perfbench/run.py``); the fixed-seed
+counters of the deployments it times are pinned in ``tests/test_goldens.py``.
 """
 
 from __future__ import annotations
@@ -24,16 +23,12 @@ import time
 from repro.bench import (
     ablations,
     claims,
-    compare,
     faults,
     figures,
     mate_compare,
     memory_report,
     perf,
-    scale,
-    scenarios,
     shard,
-    trend,
 )
 from repro.bench.reporting import Table
 
@@ -54,12 +49,7 @@ def _shared_flags() -> argparse.ArgumentParser:
         default=100,
         help="timed runs per data point (alias: --repeat)",
     )
-    parent.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="master RNG seed (default 0; scenarios keep their spec seeds unless set)",
-    )
+    parent.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parent.add_argument(
         "--out", default=None, help="also save tables under this directory"
     )
@@ -76,63 +66,16 @@ def _node_counts(text: str) -> tuple[int, ...]:
         counts = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated node counts (e.g. 25,400,1000): {text!r}"
+            f"expected comma-separated node counts (e.g. 2500,10000): {text!r}"
         ) from None
     if not counts or any(count < 1 for count in counts):
         raise argparse.ArgumentTypeError(f"node counts must be positive: {text!r}")
     return counts
 
 
-def _csv_items(text: str, what: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not items:
-        raise argparse.ArgumentTypeError(f"expected comma-separated {what}: {text!r}")
-    return items
-
-
-def _topology_kinds(text: str) -> tuple[str, ...]:
-    kinds = _csv_items(text, "topology kinds")
-    unknown = [kind for kind in kinds if kind not in scale.TOPOLOGY_KINDS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown topology kinds {unknown} "
-            f"(expected a comma-separated subset of {', '.join(scale.TOPOLOGY_KINDS)})"
-        )
-    return kinds
-
-
-def _scenario_names(text: str) -> tuple[str, ...]:
-    return _csv_items(text, "scenario names or spec paths")
-
-
 def _json_path(args, name: str) -> str:
     """Where ``BENCH_<name>.json`` goes: under ``--out`` if given, else cwd."""
     return os.path.join(args.out or "", f"BENCH_{name}.json")
-
-
-def _scenario(args) -> list[Table]:
-    # Scenarios carry their own seed/duration; the shared flags override every
-    # spec only when passed explicitly (argparse default is None).
-    return [
-        scenarios.run_scenarios(
-            scenarios=args.scenarios,
-            seed=args.seed,
-            duration_s=args.duration,
-            json_path=_json_path(args, "scenarios"),
-        )
-    ]
-
-
-def _scale(args) -> list[Table]:
-    return [
-        scale.run_scale(
-            node_counts=args.nodes,
-            topologies=args.topologies,
-            seed=args.seed,
-            duration_s=args.duration,
-            json_path=_json_path(args, "scale"),
-        )
-    ]
 
 
 def _worker_counts(text: str) -> tuple[int, ...]:
@@ -147,17 +90,14 @@ def _worker_counts(text: str) -> tuple[int, ...]:
     return counts
 
 
+# The shard and faults sweeps keep their own duration unless --duration is
+# passed.
 def _shard(args) -> list[Table]:
-    # --nodes defaults to the *scale* sweep's counts; give the shard sweep its
-    # own default unless the flag was passed explicitly.
-    node_counts = (
-        args.nodes if args.nodes is not scale.DEFAULT_NODE_COUNTS else shard.DEFAULT_NODE_COUNTS
-    )
     return [
         shard.run_shard_bench(
-            node_counts=node_counts,
+            node_counts=args.nodes,
             workers=args.workers,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
             duration_s=args.duration if args.duration is not None else shard.DEFAULT_SHARD_SIM_S,
             json_path=_json_path(args, "shard"),
         )
@@ -165,25 +105,11 @@ def _shard(args) -> list[Table]:
 
 
 def _faults(args) -> list[Table]:
-    # The battery keeps its own duration/seed unless the flags were passed
-    # explicitly (argparse defaults are None under the shared parser).
     return [
         faults.run_fault_bench(
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
             duration_s=args.duration if args.duration is not None else faults.DEFAULT_FAULT_SIM_S,
             json_path=_json_path(args, "faults"),
-        )
-    ]
-
-
-def _kernel(args) -> list[Table]:
-    # Like the scenario sweep, the battery keeps its own duration unless the
-    # flag was passed explicitly (argparse default is None for kernel).
-    return [
-        perf.run_kernel_bench(
-            json_path=_json_path(args, "kernel"),
-            seed=args.seed if args.seed is not None else 0,
-            sim_s=args.duration if args.duration is not None else perf.DEFAULT_KERNEL_SIM_S,
         )
     ]
 
@@ -238,9 +164,6 @@ EXPERIMENTS = {
         ablations.run_ablation_retransmit(runs=max(5, args.runs // 3), seed=args.seed)
     ],
     "ablation-blocks": lambda args: [ablations.run_ablation_code_blocks()],
-    "scale": _scale,
-    "scenario": _scenario,
-    "kernel": _kernel,
     "shard": _shard,
     "faults": _faults,
 }
@@ -249,13 +172,8 @@ EXPERIMENTS = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # These subcommands take their own positionals/flags and bypass the
-    # shared experiment parser: the artifact diff gate, the cross-run trend
-    # table, and the scenario profiler.
-    if argv and argv[0] == "compare":
-        return compare.main(argv[1:])
-    if argv and argv[0] == "trend":
-        return trend.main(argv[1:])
+    # The profiler takes its own positional and flags, bypassing the shared
+    # experiment parser.
     if argv and argv[0] == "profile":
         return _profile_main(argv[1:])
 
@@ -272,27 +190,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--nodes",
         type=_node_counts,
-        default=scale.DEFAULT_NODE_COUNTS,
-        help="scale sweep: comma-separated node counts (e.g. 25,400,1000)",
-    )
-    parser.add_argument(
-        "--topologies",
-        type=_topology_kinds,
-        default=scale.DEFAULT_TOPOLOGIES,
-        help="scale sweep: comma-separated topology kinds",
+        default=shard.DEFAULT_NODE_COUNTS,
+        help="shard sweep: comma-separated node counts (e.g. 2500,10000)",
     )
     parser.add_argument(
         "--duration",
         type=float,
         default=None,
-        help="scale/scenario sweeps: simulated seconds per cell (default 60; "
-        "scenarios keep their spec durations unless set)",
-    )
-    parser.add_argument(
-        "--scenarios",
-        type=_scenario_names,
-        default=scenarios.DEFAULT_SCENARIOS,
-        help="scenario sweep: comma-separated builtin names or JSON spec paths",
+        help="shard/faults sweeps: simulated seconds per cell "
+        "(default: the sweep's own)",
     )
     parser.add_argument(
         "--workers",
@@ -301,22 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         help="shard sweep: comma-separated worker counts (e.g. 1,2,4)",
     )
     args = parser.parse_args(argv)
-    # The scenario sweep, kernel battery, and shard sweep need to distinguish
-    # "flag omitted" (None: keep their own defaults) from an explicit
-    # override; resolve the shared defaults for everything else here.
-    if args.experiment not in ("scenario", "kernel", "shard", "faults"):
-        if args.seed is None:
-            args.seed = 0
-        if args.duration is None:
-            args.duration = scale.DEFAULT_DURATION_S
 
     if args.experiment == "all":
-        # fig9 emits fig10 too; the scale/scenario sweeps, the kernel
-        # micro-bench, and the shard sweep are their own, post-paper runs.
-        names = sorted(
-            set(EXPERIMENTS)
-            - {"fig10", "scale", "scenario", "kernel", "shard", "faults"}
-        )
+        # fig9 emits fig10 too; the shard and faults sweeps are their own,
+        # post-paper runs.
+        names = sorted(set(EXPERIMENTS) - {"fig10", "shard", "faults"})
     else:
         names = [args.experiment]
 

@@ -22,10 +22,6 @@ time and restart accounting:
 * ``restarts``/``bitequal`` (worker-crash cases): supervisor accounting, and
   whether the healed run's behavior counters came out bit-identical to the
   undisturbed sharded run (``bitequal`` should always read 1).
-
-Rows are keyed by ``case`` and carry ``events_per_s`` so the committed
-``results/BENCH_faults.json`` works with ``bench compare``'s regression gate
-and the weekly ``bench trend`` loop like every other artifact.
 """
 
 from __future__ import annotations

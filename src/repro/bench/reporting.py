@@ -20,7 +20,7 @@ def peak_rss_kb() -> int:
     ``tracemalloc`` which would distort the very throughput being measured.
     The value is a *process-wide high-water mark*, so within one sweep it is
     monotonic — a row shows the largest footprint reached up to and including
-    that row, which is exactly what a memory-regression diff needs.
+    that row.
     """
     if resource is None:  # pragma: no cover
         return 0
@@ -80,8 +80,7 @@ def write_artifact(table: Table, json_path: str | None, rows: list[dict], **meta
     """Save a sweep's raw rows as ``BENCH_*.json`` and note where on ``table``.
 
     The payload is ``{"experiment": table.experiment_id, **meta, "rows":
-    rows}`` — the shape ``bench compare`` and ``bench trend`` read.  A falsy
-    ``json_path`` writes nothing.
+    rows}``.  A falsy ``json_path`` writes nothing.
     """
     if not json_path:
         return

@@ -148,9 +148,19 @@ class SensorNetwork:
             if base_station
             else field_locations
         )
+        # Each mote's neighbor list is computed once: the filtered build's
+        # NeighborSetFilter and the acquaintance priming both read it.
+        neighbor_lists = {
+            location: (
+                self._physical_neighbors(location)
+                if physical
+                else self._neighbor_ids(location)
+            )
+            for location in locations
+        }
         for location in locations:
-            self._build_node(location)
-        self._prime_neighbors()
+            self._build_node(location, neighbor_lists[location])
+        self._prime_neighbors(neighbor_lists)
         if beacons:
             for node in self.nodes.values():
                 node.beacons.start()
@@ -163,7 +173,9 @@ class SensorNetwork:
     def _mote_id(self, location: Location) -> int:
         return self._ids[location]
 
-    def _build_node(self, location: Location) -> None:
+    def _build_node(
+        self, location: Location, neighbors: list[tuple[int, Location]]
+    ) -> None:
         mote = Mote(self.sim, self._mote_id(location), location, self.environment)
         radio = self.channel.attach(mote, self._position(location))
         stack = NetworkStack(mote, radio)
@@ -191,9 +203,7 @@ class SensorNetwork:
                 )
             else:
                 stack.install_filter(
-                    NeighborSetFilter(
-                        mote_id for mote_id, _ in self._neighbor_ids(location)
-                    )
+                    NeighborSetFilter(mote_id for mote_id, _ in neighbors)
                 )
         router = GeoRouter(
             location,
@@ -226,14 +236,12 @@ class SensorNetwork:
             key=lambda pair: pair[0],
         )
 
-    def _prime_neighbors(self) -> None:
+    def _prime_neighbors(
+        self, neighbor_lists: dict[Location, list[tuple[int, Location]]]
+    ) -> None:
         """Warm up every acquaintance list (a long-deployed network)."""
         for location, node in self.nodes.items():
-            if self.physical:
-                neighbors = self._physical_neighbors(location)
-            else:
-                neighbors = self._neighbor_ids(location)
-            node.beacons.prime(neighbors)
+            node.beacons.prime(neighbor_lists[location])
 
     def _physical_neighbors(self, location: Location) -> list[tuple[int, Location]]:
         """Physical mode: nodes audible and within 1.5 grid units, plus bridges."""

@@ -1,6 +1,6 @@
 """Declarative scenarios: topology × dynamics × workload, runnable from data."""
 
-from repro.scenarios.library import BUILTIN_SCENARIOS, DEFAULT_SCENARIOS
+from repro.scenarios.library import BUILTIN_SCENARIOS
 from repro.scenarios.spec import Scenario, ScenarioRun
 from repro.scenarios.workloads import (
     CourierWorkload,
@@ -14,7 +14,6 @@ from repro.scenarios.workloads import (
 
 __all__ = [
     "BUILTIN_SCENARIOS",
-    "DEFAULT_SCENARIOS",
     "Scenario",
     "ScenarioRun",
     "Workload",

@@ -1,9 +1,11 @@
-"""Built-in scenario specs: the bench sweep's standard battery.
+"""Built-in scenario specs: the standard battery, runnable by name.
 
 Plain dicts on purpose — each is exactly what you could put in a JSON file
-and hand to ``python -m repro.bench scenario`` or ``Scenario.from_spec``.
+and hand to ``repro.run`` or ``Scenario.from_spec``;
+``repro.run(name).as_row()`` gives a builtin's flat row.  Their fixed-seed
+counters are pinned in ``tests/test_goldens.py``.
 
-* **static-flood** — PR 1's scale-sweep cell verbatim (100-node grid,
+* **static-flood** — the 100-node grid flood cell verbatim (60 m spacing,
   fire-detector flood, no dynamics): the golden baseline that dynamic runs
   are compared against.
 * **mobile-tracker** — a quarter of an 8×8 grid wanders (random waypoint)
@@ -117,7 +119,7 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
     },
     "partition-heal": _partition_heal(True),
     "partition-heal-frozen": _partition_heal(False),
-    # --- sharded-runtime battery (not part of the default bench sweep) ----
+    # --- sharded-runtime battery ----------------------------------------
     # sharded-ribbon: a long thin grid cut into 4 x-strips with *real* seams
     # — the flood must cross every boundary via ghost replay, so this is the
     # scenario that exercises the lookahead protocol hardest.
@@ -152,16 +154,3 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "shards": 4,
     },
 }
-
-#: The bench sweep's default battery, in presentation order.  The two
-#: partition-heal rows are the delivery-ratio-under-mobility ablation:
-#: adjacent in the table so the adaptive-vs-frozen gap reads directly.
-DEFAULT_SCENARIOS = (
-    "static-flood",
-    "mobile-tracker",
-    "churn-habitat",
-    "mixed-tenant",
-    "mobile-flood-400",
-    "partition-heal",
-    "partition-heal-frozen",
-)

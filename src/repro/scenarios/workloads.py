@@ -9,7 +9,7 @@ A workload owns three moments of a scenario's life:
   (coverage, fresh samples, alerts) for the bench table.
 
 Four shapes mirror the paper's case studies and ROADMAP's wish list: the
-fire-detector **flood** (the scale sweep's classic), a **tracker-perimeter**
+fire-detector **flood** (the golden flood cells' load), a **tracker-perimeter**
 chase of a moving intruder, low-duty **habitat-monitor** sampling, and a
 **mixed-tenant** run where habitat monitors and a fire service share every
 mote (reusing the §2.2 hand-off exercised by ``examples/multi_application.py``).
@@ -103,7 +103,7 @@ class Workload:
 
 
 class FloodWorkload(Workload):
-    """The scale sweep's classic: one FIREDETECTOR cloning itself outward
+    """The golden flood cells' load: one FIREDETECTOR cloning itself outward
     from the best-connected node, claiming each mote with a ``<'fdt'>`` tuple."""
 
     name = "flood"

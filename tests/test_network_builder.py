@@ -51,6 +51,23 @@ class TestTopology:
         net = SensorNetwork(GridTopology(3, 1), physical=True, base_station=False)
         assert net.node((1, 1)).stack._filters == []
 
+    def test_filtered_build_computes_each_neighbor_list_once(self, monkeypatch):
+        # The neighbor filter and the acquaintance priming share one list.
+        calls = []
+        neighbor_ids = SensorNetwork._neighbor_ids
+
+        def counting(net, location):
+            calls.append(location)
+            return neighbor_ids(net, location)
+
+        monkeypatch.setattr(SensorNetwork, "_neighbor_ids", counting)
+        net = SensorNetwork(GridTopology(5, 5))
+        assert len(calls) == len(net.nodes) == 26  # one call per mote
+        assert set(calls) == set(net.nodes)
+        assert net.node((3, 3)).stack._filters[0].accepted == {
+            net.node(location).mote.id for location in ((2, 3), (4, 3), (3, 2), (3, 4))
+        }
+
 
 class TestMemoryBudget:
     def test_ram_matches_paper_3_59_kb(self):

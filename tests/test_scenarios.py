@@ -1,4 +1,4 @@
-"""Scenario layer: spec parsing, workloads, static-parity goldens, bench sweep."""
+"""Scenario layer: spec parsing, workloads, static-parity goldens."""
 
 import json
 
@@ -6,15 +6,8 @@ import pytest
 
 import repro
 from repro.apps import habitat_monitor
-from repro.bench import scenarios as bench_scenarios
-from repro.bench.cli import main as bench_main
 from repro.errors import NetworkError
-from repro.scenarios import (
-    BUILTIN_SCENARIOS,
-    DEFAULT_SCENARIOS,
-    Scenario,
-    workload_from_spec,
-)
+from repro.scenarios import BUILTIN_SCENARIOS, Scenario, workload_from_spec
 from repro.scenarios.workloads import (
     FloodWorkload,
     HabitatWorkload,
@@ -55,10 +48,17 @@ class TestScenarioSpec:
         assert scenario.workload == "flood"
 
     def test_builtin_names_resolve(self):
-        for name in DEFAULT_SCENARIOS:
+        for name in BUILTIN_SCENARIOS:
             scenario = Scenario.from_spec(name)
             assert scenario.name == name
-            assert name in BUILTIN_SCENARIOS
+
+    def test_explicit_seed_overrides_spec_seed(self):
+        # mobile-flood-400's spec pins seed 11; an explicit seed (even 0)
+        # wins over it, and so does an explicit duration.
+        assert BUILTIN_SCENARIOS["mobile-flood-400"]["seed"] == 11
+        result = repro.run("mobile-flood-400", seed=0, duration_s=2.0)
+        assert result.seed == 0
+        assert result.counters["sim_s"] == 2.0
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(NetworkError):
@@ -93,8 +93,8 @@ class TestStaticParity:
         "seed": 0,
         "spacing_m": 60.0,
     }
-    # Golden counters from PR 1's scale sweep path (scale.run_one("grid", 25,
-    # seed=0, duration_s=20)).  If these move, static behaviour changed.
+    # Golden counters of the 5x5 flood cell at 60 m, run for 20 s.  If these
+    # move, static behaviour changed.
     # GOLDEN_EVENTS was re-pinned (10558 -> 7745) for PR 5's run-slice
     # engine, which posts O(slices) instead of O(instructions) kernel
     # events; frames, drops, instructions, and coverage are the original
@@ -104,15 +104,6 @@ class TestStaticParity:
     GOLDEN_COVERAGE = 21
     GOLDEN_PRR_DROPS = 527
     GOLDEN_INSTRUCTIONS = 1819
-
-    def test_static_scenario_matches_scale_run_one(self):
-        from repro.bench import scale
-
-        row = scale.run_one("grid", 25, seed=0, duration_s=20.0)
-        assert (row["topology"], row["nodes"]) == ("grid", 25)
-        assert row["events"] == self.GOLDEN_EVENTS
-        assert row["frames"] == self.GOLDEN_FRAMES
-        assert row["coverage"] == self.GOLDEN_COVERAGE
 
     def test_static_scenario_matches_golden_counters(self):
         run = Scenario.from_spec(self.PARITY_SPEC).build()
@@ -243,108 +234,3 @@ class TestInstallAssemblesOnce:
         ]
         assert len(codes) == 25
         assert all(code == expected for code in codes)
-
-
-class TestScenarioBench:
-    def test_sweep_writes_json_and_never_rebuilds(self, tmp_path):
-        json_path = str(tmp_path / "BENCH_scenarios.json")
-        specs = [
-            mini("mini-static", "flood"),
-            mini(
-                "mini-mobile",
-                "flood",
-                {"mobility": {"model": "random_waypoint", "speed": [1.0, 3.0]}},
-            ),
-            mini(
-                "mini-churn",
-                "habitat",
-                {"churn": {"model": "lifetimes", "mtbf_s": 3.0, "mttr_s": 1.0}},
-            ),
-            mini("mini-mixed", {"kind": "mixed", "ignite_s": 2.0}),
-        ]
-        table = bench_scenarios.run_scenarios(specs, json_path=json_path)
-        assert len(table.rows) == 4
-        payload = json.loads((tmp_path / "BENCH_scenarios.json").read_text())
-        assert [row["scenario"] for row in payload["rows"]] == [
-            "mini-static",
-            "mini-mobile",
-            "mini-churn",
-            "mini-mixed",
-        ]
-        for row in payload["rows"]:
-            assert row["index_rebuilds"] == 0
-            assert {"events", "frames", "moves", "fails", "coverage"} <= set(row)
-        mobile_row = payload["rows"][1]
-        assert mobile_row["moves"] > 0
-
-    def test_sharded_row_fills_the_table(self):
-        # A sharded row has moves/fails/recoveries but no hearer-index
-        # counters: the rebuilds cell reads "-" instead of raising KeyError.
-        table = bench_scenarios.run_scenarios(
-            ["sharded-ribbon"], duration_s=1.0, json_path=None
-        )
-        (row,) = table.rows
-        assert row[0] == "sharded-ribbon"
-        assert row[table.headers.index("rebuilds")] == "-"
-        assert "sharded-ribbon" in table.render()
-
-    def test_cli_scenario_subcommand(self, tmp_path, capsys):
-        code = bench_main(
-            [
-                "scenario",
-                "--scenarios",
-                "static-flood",
-                "--duration",
-                "3",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "static-flood" in out
-        assert (tmp_path / "BENCH_scenarios.json").exists()
-
-    def test_cli_rejects_empty_scenario_list(self):
-        with pytest.raises(SystemExit):
-            bench_main(["scenario", "--scenarios", " , "])
-
-    def test_cli_explicit_seed_overrides_spec_seeds(self, tmp_path, capsys):
-        # mobile-flood-400's spec pins seed 11; an *explicit* --seed (even 0)
-        # must win over it, while omitted flags leave spec values alone.
-        code = bench_main(
-            [
-                "scenario",
-                "--scenarios",
-                "static-flood",
-                "--seed",
-                "0",
-                "--duration",
-                "2",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        payload = json.loads((tmp_path / "BENCH_scenarios.json").read_text())
-        assert payload["seed"] == 0  # recorded as an override, not dropped
-        assert payload["duration_s"] == 2.0
-
-
-@pytest.mark.slow
-class TestBuiltinBattery:
-    """The full default battery at short duration: every builtin must run."""
-
-    def test_all_builtins_run(self, tmp_path):
-        table = bench_scenarios.run_scenarios(
-            DEFAULT_SCENARIOS,
-            duration_s=6.0,
-            json_path=str(tmp_path / "BENCH_scenarios.json"),
-        )
-        assert len(table.rows) == len(DEFAULT_SCENARIOS)
-        payload = json.loads((tmp_path / "BENCH_scenarios.json").read_text())
-        by_name = {row["scenario"]: row for row in payload["rows"]}
-        assert by_name["mobile-flood-400"]["nodes"] == 400
-        assert by_name["mobile-flood-400"]["moves"] > 0
-        assert by_name["mobile-flood-400"]["index_rebuilds"] == 0
