@@ -110,6 +110,27 @@ class TestCli:
         assert "fig11" in capsys.readouterr().out
 
 
+def assert_retired(argv, artifact, capsys):
+    """A retired timing subcommand, called as it used to be, is a usage error
+    that leaves no artifact behind; tests/test_goldens.py pins its rows."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not artifact.exists()
+
+
+class TestScaleSweep:
+    def test_cli_scale_writes_json(self, tmp_path, capsys):
+        argv = ["scale", "--topologies", "grid,random", "--out", str(tmp_path)]
+        assert_retired(argv, tmp_path / "BENCH_scale.json", capsys)
+
+
+class TestKernelBench:
+    def test_cli_kernel_subcommand(self, tmp_path, capsys):
+        assert_retired(["kernel", "--out", str(tmp_path)], tmp_path / "BENCH_kernel.json", capsys)
+
+
 class TestProfileSubcommand:
     def test_profile_writes_top_n_table(self, tmp_path, capsys):
         import json

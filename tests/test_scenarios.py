@@ -15,6 +15,7 @@ from repro.scenarios.workloads import (
     TrackerPerimeterWorkload,
     agent_census,
 )
+from tests.test_bench_harness import assert_retired
 
 MINI_GRID = {"kind": "grid", "width": 4, "height": 4}
 
@@ -104,6 +105,14 @@ class TestStaticParity:
     GOLDEN_COVERAGE = 21
     GOLDEN_PRR_DROPS = 527
     GOLDEN_INSTRUCTIONS = 1819
+
+    def test_static_scenario_matches_scale_run_one(self):
+        # The former scale sweep's grid-25 cell, through the public entry point.
+        row = repro.run(dict(self.PARITY_SPEC, name="scale-grid-25")).as_row()
+        assert (row["scenario"], row["nodes"]) == ("scale-grid-25", 25)
+        assert row["events"] == self.GOLDEN_EVENTS
+        assert row["frames"] == self.GOLDEN_FRAMES
+        assert row["coverage"] == self.GOLDEN_COVERAGE
 
     def test_static_scenario_matches_golden_counters(self):
         run = Scenario.from_spec(self.PARITY_SPEC).build()
@@ -234,3 +243,13 @@ class TestInstallAssemblesOnce:
         ]
         assert len(codes) == 25
         assert all(code == expected for code in codes)
+
+
+class TestScenarioBench:
+    def test_cli_scenario_subcommand(self, tmp_path, capsys):
+        argv = ["scenario", "--scenarios", "static-flood", "--out", str(tmp_path)]
+        assert_retired(argv, tmp_path / "BENCH_scenarios.json", capsys)
+
+    def test_cli_rejects_empty_scenario_list(self, tmp_path, capsys):
+        argv = ["scenario", "--scenarios", " , ", "--out", str(tmp_path)]
+        assert_retired(argv, tmp_path / "BENCH_scenarios.json", capsys)
